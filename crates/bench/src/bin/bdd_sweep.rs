@@ -32,20 +32,15 @@
 //! and the fastest run of each is used.
 //!
 //! On top of the single-configuration sweep, a **thread-scaling arm** (on by
-//! default, `--no-scaling` to skip) re-runs the suite with the private
-//! per-worker managers (`Backend::Bdd`) and the one shared sharded store
-//! (`Backend::BddShared`) at 1/2/4/8 threads, reordering off for both so the
-//! arms face the same ordering policy (the shared store's quiescence rule
-//! ignores reordering anyway). Each row records wall time, peak live nodes —
-//! the **single shared arena reported once** for the shared rows, never
-//! summed per worker; the max over per-job managers for the private rows —
-//! and a FNV-1a fingerprint of every job's semantic results. The binary
-//! refuses to emit rows whose fingerprints disagree (shared must be
-//! bit-identical to private at every thread count) or whose peaks vary with
-//! thread count (both backends are demand-determined). Rows land in the
-//! sweep document's `scaling` block; `--scaling-only` instead runs *only*
-//! this arm and writes a standalone `bidecomp-bdd-scaling-v1` document
-//! (default `BENCH_bdd_scaling.json`) for the independent CI gate. The
+//! default, `--no-scaling` to skip) re-runs the suite with the per-worker
+//! managers (`Backend::Bdd`) at 1/2/4/8 threads, reordering off. Each row
+//! records wall time, peak live nodes (the max over per-job managers) and a
+//! FNV-1a fingerprint of every job's semantic results. The binary refuses
+//! to emit rows whose fingerprints or peaks vary with thread count (the
+//! backend is deterministic). Rows land in the sweep document's `scaling`
+//! block; `--scaling-only` instead runs *only* this arm and writes a
+//! standalone `bidecomp-bdd-scaling-v1` document (default
+//! `BENCH_bdd_scaling.json`) for the independent CI gate. The
 //! document records `host_threads` so `regress` only holds speedups to a
 //! floor on hosts that actually have parallelism.
 //!
@@ -617,40 +612,27 @@ fn suite_by_name(name: &str) -> Option<Suite> {
 /// actually parallelize is *gated* by `regress`; the rest is informational.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// One `(backend, threads)` measurement of the scaling arm.
+/// One thread-count measurement of the scaling arm (always `Backend::Bdd`).
 struct ScalingRow {
-    backend: Backend,
     threads: usize,
     wall_micros: u64,
     peak_nodes: u64,
 }
 
-/// The scaling arm's cross-checked results: eight rows sharing one semantic
-/// fingerprint and one peak per backend.
+/// The scaling arm's cross-checked results: four rows sharing one semantic
+/// fingerprint and one peak.
 struct ScalingSummary {
     host_threads: usize,
     jobs: usize,
     fingerprint: String,
     private_peak: u64,
-    shared_peak: u64,
     rows: Vec<ScalingRow>,
 }
 
-impl ScalingSummary {
-    /// `wall(1 thread) / wall(t threads)` for the shared backend's rows, in
-    /// `SCALING_THREADS` order.
-    fn shared_speedups(&self) -> Vec<(usize, f64)> {
-        let shared: Vec<&ScalingRow> =
-            self.rows.iter().filter(|r| r.backend == Backend::BddShared).collect();
-        let base = shared.first().map_or(0, |r| r.wall_micros);
-        shared.iter().map(|r| (r.threads, base as f64 / r.wall_micros.max(1) as f64)).collect()
-    }
-}
-
 /// FNV-1a over every job's semantic results (everything except `bdd_nodes`,
-/// which the shared backend intentionally pools store-wide): two sweeps with
-/// equal fingerprints computed the same quotients and verdicts for the same
-/// jobs in the same order.
+/// which depends on the variable order and is gated separately as the peak
+/// node count): two sweeps with equal fingerprints computed the same
+/// quotients and verdicts for the same jobs in the same order.
 fn semantic_fingerprint(report: &SweepReport) -> String {
     use std::fmt::Write;
     let mut text = String::new();
@@ -678,11 +660,11 @@ fn semantic_fingerprint(report: &SweepReport) -> String {
     format!("{hash:016x}")
 }
 
-/// Runs the scaling arm: private vs shared managers at each thread count,
+/// Runs the scaling arm: the per-worker managers at each thread count,
 /// fastest of `repeat` runs per row. Errors (instead of emitting rows) when
-/// any row's semantics diverge from the first row's, or when a backend's
-/// peak varies with thread count — both are deterministic, so any drift is a
-/// real concurrency bug, and rows that embed it must never reach the gate.
+/// any row's semantics or peak diverge from the 1-thread row's — both are
+/// deterministic, so any drift is a real concurrency bug, and rows that
+/// embed it must never reach the gate.
 fn run_scaling(
     suite: &Suite,
     base: &EngineConfig,
@@ -691,67 +673,46 @@ fn run_scaling(
     let mut rows = Vec::new();
     let mut jobs = 0;
     let mut fingerprint: Option<String> = None;
-    // One peak per backend: [private, shared].
-    let mut peaks = [None::<u64>, None::<u64>];
-    for backend in [Backend::Bdd, Backend::BddShared] {
-        for &threads in &SCALING_THREADS {
-            // Reordering off for both arms: the shared store's quiescence
-            // rule ignores it, and the private arm must face the same
-            // ordering policy for the wall times to compare.
-            let config = EngineConfig { backend, threads, reorder: None, ..base.clone() };
-            let mut report = sweep(suite, &config);
-            for _ in 1..repeat {
-                let rerun = sweep(suite, &config);
-                if rerun.wall_micros < report.wall_micros {
-                    report = rerun;
-                }
+    let mut peak: Option<u64> = None;
+    for &threads in &SCALING_THREADS {
+        let config = EngineConfig { backend: Backend::Bdd, threads, reorder: None, ..base.clone() };
+        let mut report = sweep(suite, &config);
+        for _ in 1..repeat {
+            let rerun = sweep(suite, &config);
+            if rerun.wall_micros < report.wall_micros {
+                report = rerun;
             }
-            jobs = report.jobs.len();
-            let fp = semantic_fingerprint(&report);
-            match &fingerprint {
-                None => fingerprint = Some(fp),
-                Some(expect) if *expect != fp => {
-                    return Err(format!(
-                        "{} at {threads} thread(s) diverges semantically from {} at 1 thread",
-                        backend.name(),
-                        Backend::Bdd.name()
-                    ));
-                }
-                Some(_) => {}
-            }
-            // Peak live nodes. The one shared arena is append-only while
-            // shared, so its final size is its peak — reported once for the
-            // whole sweep, never summed per worker. The private rows report
-            // the largest single per-job manager instead.
-            let (slot, peak) = match backend {
-                Backend::BddShared => (1, report.shared_nodes),
-                _ => (0, report.jobs.iter().map(|j| j.bdd_nodes).max().unwrap_or(0)),
-            };
-            match peaks[slot] {
-                None => peaks[slot] = Some(peak),
-                Some(expect) if expect != peak => {
-                    return Err(format!(
-                        "{} peak varies with thread count: {expect} at 1 thread vs {peak} at \
-                         {threads} (both backends are demand-determined)",
-                        backend.name()
-                    ));
-                }
-                Some(_) => {}
-            }
-            rows.push(ScalingRow {
-                backend,
-                threads,
-                wall_micros: report.wall_micros,
-                peak_nodes: peak,
-            });
         }
+        jobs = report.jobs.len();
+        let fp = semantic_fingerprint(&report);
+        match &fingerprint {
+            None => fingerprint = Some(fp),
+            Some(expect) if *expect != fp => {
+                return Err(format!(
+                    "{threads} thread(s) diverge semantically from the 1-thread run"
+                ));
+            }
+            Some(_) => {}
+        }
+        // Peak live nodes: the largest single per-job manager.
+        let row_peak = report.jobs.iter().map(|j| j.bdd_nodes).max().unwrap_or(0);
+        match peak {
+            None => peak = Some(row_peak),
+            Some(expect) if expect != row_peak => {
+                return Err(format!(
+                    "peak varies with thread count: {expect} at 1 thread vs {row_peak} at \
+                     {threads} (the backend is demand-determined)"
+                ));
+            }
+            Some(_) => {}
+        }
+        rows.push(ScalingRow { threads, wall_micros: report.wall_micros, peak_nodes: row_peak });
     }
     Ok(ScalingSummary {
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         jobs,
         fingerprint: fingerprint.expect("the scaling arm always runs at least one row"),
-        private_peak: peaks[0].unwrap_or(0),
-        shared_peak: peaks[1].unwrap_or(0),
+        private_peak: peak.unwrap_or(0),
         rows,
     })
 }
@@ -764,20 +725,10 @@ fn scaling_fields(scaling: &ScalingSummary) -> Vec<(String, Value)> {
         .iter()
         .map(|r| {
             Value::Object(vec![
-                ("backend".into(), json::s(r.backend.name())),
+                ("backend".into(), json::s(Backend::Bdd.name())),
                 ("threads".into(), json::num(r.threads as u64)),
                 ("wall_ms".into(), Value::Num(r.wall_micros as f64 / 1000.0)),
                 ("peak_nodes".into(), json::num(r.peak_nodes)),
-            ])
-        })
-        .collect();
-    let speedups = scaling
-        .shared_speedups()
-        .into_iter()
-        .map(|(threads, speedup)| {
-            Value::Object(vec![
-                ("threads".into(), json::num(threads as u64)),
-                ("speedup".into(), Value::Num((speedup * 1000.0).round() / 1000.0)),
             ])
         })
         .collect();
@@ -786,9 +737,7 @@ fn scaling_fields(scaling: &ScalingSummary) -> Vec<(String, Value)> {
         ("jobs".into(), json::num(scaling.jobs as u64)),
         ("semantic_fp".into(), json::s(&scaling.fingerprint)),
         ("private_peak_nodes".into(), json::num(scaling.private_peak)),
-        ("shared_peak_nodes".into(), json::num(scaling.shared_peak)),
         ("rows".into(), Value::Array(rows)),
-        ("shared_speedups".into(), Value::Array(speedups)),
     ]
 }
 
@@ -810,18 +759,19 @@ fn print_scaling(scaling: &ScalingSummary) {
     for row in &scaling.rows {
         println!(
             "  {:<11} {:>2} thread(s)  {:>9.1} ms  peak {:>6} nodes",
-            row.backend.name(),
+            Backend::Bdd.name(),
             row.threads,
             row.wall_micros as f64 / 1000.0,
             row.peak_nodes
         );
     }
+    let base = scaling.rows.first().map_or(0, |r| r.wall_micros);
     let speedups: Vec<String> = scaling
-        .shared_speedups()
-        .into_iter()
-        .map(|(threads, speedup)| format!("{speedup:.2}x@{threads}t"))
+        .rows
+        .iter()
+        .map(|r| format!("{:.2}x@{}t", base as f64 / r.wall_micros.max(1) as f64, r.threads))
         .collect();
-    println!("  shared-manager speedup over 1 thread: {}", speedups.join(" "));
+    println!("  speedup over 1 thread: {}", speedups.join(" "));
 }
 
 fn report_to_json(
@@ -1007,8 +957,8 @@ fn main() -> ExitCode {
         );
     }
 
-    // The thread-scaling arm: shared vs private managers at 1/2/4/8 threads,
-    // semantically cross-checked against each other inside `run_scaling` and
+    // The thread-scaling arm: the per-worker managers at 1/2/4/8 threads,
+    // semantically cross-checked across thread counts inside `run_scaling` and
     // against the main arm here (reordering changes node counts, never
     // functions, so the fingerprints must agree).
     let scaling = match args.scaling {

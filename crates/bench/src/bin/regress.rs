@@ -14,20 +14,19 @@
 //! * `bidecomp-sweep-v1` — the quotient sweeps (`sweep`, `bdd_sweep`):
 //!   exact semantic comparison plus the tolerance-banded `speedup` ratio
 //!   described below; when the baseline carries a `scaling` block (the BDD
-//!   sweep's shared-vs-private thread-scaling arm), it is gated as described
-//!   under the scaling schema;
+//!   sweep's thread-scaling arm), it is gated as described under the
+//!   scaling schema;
 //! * `bidecomp-bdd-scaling-v1` — the standalone thread-scaling arm
 //!   (`bdd_sweep --scaling-only`): the job count, the semantic fingerprint
 //!   (one FNV-1a digest over every job's quotient counts and verdicts —
 //!   `bdd_sweep` itself refuses to emit rows whose fingerprints differ
-//!   across backends or thread counts, so one field pins shared == private
-//!   == baseline), and the `(backend, threads)` row set are exact; each
-//!   backend's peak node count (the one shared arena reported once for the
-//!   shared rows) sits under the `--node-tolerance` ceiling. Speedup checks
-//!   are **host-aware** — wall-clock scaling only exists where hardware
+//!   across thread counts, so one field pins every row == baseline), and
+//!   the `(backend, threads)` row set are exact; the peak node count sits
+//!   under the `--node-tolerance` ceiling. Speedup checks are
+//!   **host-aware** — wall-clock scaling only exists where hardware
 //!   parallelism does, so they engage only when the current run's
-//!   `host_threads` permits: with 2+ hardware threads the shared backend's
-//!   speedup over its own 1-thread row must improve monotonically across
+//!   `host_threads` permits: with 2+ hardware threads the `bdd` rows'
+//!   speedup over their own 1-thread row must improve monotonically across
 //!   1/2/4 threads within the tolerance band and must exceed 1.0 at the
 //!   largest gated thread count; with 4+ hardware threads the 8-thread
 //!   speedup must additionally stay above
@@ -360,13 +359,12 @@ fn run_scaling(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Str
 ///
 /// Exact: job count, the `(backend, threads)` row set, and the semantic
 /// fingerprint — `bdd_sweep` refuses to emit rows whose per-run fingerprints
-/// disagree across backends or thread counts, so the document's one
-/// fingerprint matching the baseline pins shared == private == history.
-/// Ceilinged: each backend's peak node count (the single shared arena,
-/// reported once, for the shared rows) under `--node-tolerance` headroom.
+/// disagree across thread counts, so the document's one fingerprint
+/// matching the baseline pins every row == history. Ceilinged: the peak
+/// node count under `--node-tolerance` headroom.
 /// Host-aware (wall-clock scaling only exists where hardware parallelism
 /// does, so these engage by the *current* run's `host_threads`): with 2+
-/// hardware threads the shared backend's speedup over its own 1-thread row
+/// hardware threads the `bdd` rows' speedup over their own 1-thread row
 /// must improve monotonically over 1/2/4 threads within the tolerance band
 /// and exceed 1.0 at the largest of those counts; with 4+ the 8-thread
 /// speedup must also hold `max(1.0, speedup(4) × (1 − tolerance))`.
@@ -397,21 +395,20 @@ fn gate_scaling(
         ));
     }
 
-    for key in ["private_peak_nodes", "shared_peak_nodes"] {
-        let base_peak = u64_field(baseline, key, &args.baseline)?;
-        let cur_peak = u64_field(current, key, &args.current)?;
-        let ceiling = (base_peak as f64 * (1.0 + args.node_tolerance)).floor() as u64;
-        println!(
-            "scaling {key}: baseline {base_peak}, current {cur_peak} (ceiling {ceiling}, \
-             node tolerance {})",
-            args.node_tolerance
-        );
-        if cur_peak > ceiling {
-            failures.push(format!(
-                "scaling {key} regression: {cur_peak} exceeds the ceiling {ceiling} \
-                 (baseline {base_peak})"
-            ));
-        }
+    let key = "private_peak_nodes";
+    let base_peak = u64_field(baseline, key, &args.baseline)?;
+    let cur_peak = u64_field(current, key, &args.current)?;
+    let ceiling = (base_peak as f64 * (1.0 + args.node_tolerance)).floor() as u64;
+    println!(
+        "scaling {key}: baseline {base_peak}, current {cur_peak} (ceiling {ceiling}, \
+         node tolerance {})",
+        args.node_tolerance
+    );
+    if cur_peak > ceiling {
+        failures.push(format!(
+            "scaling {key} regression: {cur_peak} exceeds the ceiling {ceiling} \
+             (baseline {base_peak})"
+        ));
     }
 
     fn rows_of<'a>(doc: &'a Value, path: &str) -> Result<&'a [Value], String> {
@@ -441,32 +438,30 @@ fn gate_scaling(
         ));
     }
 
-    // Shared-backend speedups over its own 1-thread row, from the current
-    // run only: the ratio depends on the measuring host's core count, so it
-    // is never compared against the baseline's.
-    let mut shared: Vec<(u64, f64)> = Vec::new();
+    // `bdd` speedups over its own 1-thread row, from the current run only:
+    // the ratio depends on the measuring host's core count, so it is never
+    // compared against the baseline's.
+    let mut walls: Vec<(u64, f64)> = Vec::new();
     for row in cur_rows {
         let (backend, threads) = key_of(row);
-        if backend == "bdd-shared" {
-            shared.push((threads, f64_field(row, "wall_ms", &args.current)?));
+        if backend == "bdd" {
+            walls.push((threads, f64_field(row, "wall_ms", &args.current)?));
         }
     }
-    shared.sort_by_key(|&(threads, _)| threads);
-    let Some(&(1, base_wall)) = shared.first() else {
-        return Err(format!("{}: scaling rows lack a 1-thread shared row", args.current));
+    walls.sort_by_key(|&(threads, _)| threads);
+    let Some(&(1, base_wall)) = walls.first() else {
+        return Err(format!("{}: scaling rows lack a 1-thread bdd row", args.current));
     };
     let speedup_at = |threads: u64| {
-        shared
+        walls
             .iter()
             .find(|&&(t, _)| t == threads)
             .map(|&(_, wall)| base_wall / wall.max(f64::MIN_POSITIVE))
     };
     let host = u64_field(current, "host_threads", &args.current)?;
-    let summary: Vec<String> = shared
-        .iter()
-        .filter_map(|&(t, _)| speedup_at(t).map(|s| format!("{s:.2}x@{t}t")))
-        .collect();
-    println!("shared-manager scaling on a {host}-hardware-thread host: {}", summary.join(" "));
+    let summary: Vec<String> =
+        walls.iter().filter_map(|&(t, _)| speedup_at(t).map(|s| format!("{s:.2}x@{t}t"))).collect();
+    println!("bdd thread scaling on a {host}-hardware-thread host: {}", summary.join(" "));
     if host < 2 {
         println!("scaling speedups: reported only (host has no hardware parallelism)");
         return Ok(());

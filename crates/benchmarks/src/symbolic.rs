@@ -10,7 +10,7 @@
 //! how the property tests pin the symbolic backend bit-identical to the
 //! dense one.
 
-use bdd::{Bdd, BddManager, BddOps};
+use bdd::{Bdd, BddManager};
 use boolfunc::{Cover, Isf, TruthTable};
 
 use crate::instance::BenchmarkInstance;
@@ -100,10 +100,9 @@ impl SymbolicInstance {
     /// # Panics
     ///
     /// Panics if `output` is out of range or the manager has fewer variables
-    /// than the instance has inputs (a *wider* manager is allowed: a shared
-    /// store serves jobs of mixed arities, and the built function is simply
-    /// independent of the extra variables).
-    pub fn build_output<M: BddOps>(&self, mgr: &mut M, output: usize) -> (Bdd, Bdd) {
+    /// than the instance has inputs (a *wider* manager is allowed: the built
+    /// function is simply independent of the extra variables).
+    pub fn build_output(&self, mgr: &mut BddManager, output: usize) -> (Bdd, Bdd) {
         assert!(mgr.num_vars() >= self.inputs, "manager is narrower than the instance");
         match &self.outputs[output] {
             SymbolicFunction::CoverIsf { on, dc } => {

@@ -1,7 +1,7 @@
 //! Classification of approximations (Definitions 1–3 of the paper) and the
 //! divisor side conditions of Table II.
 
-use bdd::{Bdd, BddOps};
+use bdd::{Bdd, BddManager};
 use boolfunc::{Isf, TruthTable};
 
 use crate::error::BidecompError;
@@ -123,8 +123,8 @@ pub fn is_valid_divisor(f: &Isf, g: &TruthTable, op: BinaryOp) -> bool {
 /// The subset/disjointness checks run symbolically (`diff`/`and` against the
 /// constant 0), so the validation scales to arities far beyond the dense
 /// representation.
-pub fn is_valid_divisor_bdd<M: BddOps>(
-    mgr: &mut M,
+pub fn is_valid_divisor_bdd(
+    mgr: &mut BddManager,
     f_on: Bdd,
     f_dc: Bdd,
     g: Bdd,

@@ -10,26 +10,19 @@
 //! per job, so the report is bit-identical regardless of thread count or
 //! scheduling.
 //!
-//! Three [`Backend`]s execute the jobs:
+//! Two [`Backend`]s execute the jobs:
 //!
 //! * [`Backend::Dense`] — the allocation-free word-parallel path
 //!   ([`QuotientScratch`] plus the `_sets` verifiers) on packed truth
 //!   tables; unbeatable while `2^n` bits fit comfortably in cache.
 //! * [`Backend::Bdd`] — the symbolic path ([`crate::full_quotient_bdd`] plus
-//!   the `_bdd` verifiers) with one reused [`BddManager`] per worker. It
-//!   additionally sweeps the suite's *symbolic* instances
-//!   ([`benchmarks::SymbolicInstance`], 24–40 inputs), which the dense
-//!   backend cannot represent at all. On dense instances its divisors are
-//!   bit-identical to the dense backend's (same noise words, same algebra),
-//!   so the two backends produce the same report minterm counts.
-//! * [`Backend::BddShared`] — the same symbolic path on one
-//!   [`SharedManager`] shared by every worker: each worker runs a
-//!   [`WorkerCtx`] (private operation caches) over the single sharded,
-//!   globally hash-consed node store, so structure common across jobs is
-//!   built exactly once. Semantic results are bit-identical to
-//!   [`Backend::Bdd`] and independent of thread count; per-job `bdd_nodes`
-//!   is reported as 0 (nodes are pooled) and the store-wide total lands in
-//!   [`SweepReport::shared_nodes`].
+//!   the `_bdd` verifiers) with one reused single-owner [`BddManager`] per
+//!   worker, so workers never contend. It additionally sweeps the suite's
+//!   *symbolic* instances ([`benchmarks::SymbolicInstance`], 24–40 inputs),
+//!   which the dense backend cannot represent at all. On dense instances its
+//!   divisors are bit-identical to the dense backend's (same noise words,
+//!   same algebra), so the two backends produce the same report minterm
+//!   counts.
 //!
 //! Besides the quotient sweep, the module hosts a second sweep kind:
 //! [`sweep_synthesis`] fans the recursive bi-decomposition synthesizer
@@ -57,7 +50,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bdd::{force_order, Bdd, BddManager, BddOps, SharedManager, SiftConfig, WorkerCtx};
+use bdd::{force_order, Bdd, BddManager, SiftConfig};
 use benchmarks::{DetRng, Suite, SymbolicFunction};
 use boolfunc::{Isf, TruthTable};
 
@@ -79,16 +72,9 @@ pub enum Backend {
     /// Packed truth tables (word-parallel, allocation-free). The default.
     #[default]
     Dense,
-    /// BDDs in a per-worker manager; also sweeps the suite's symbolic
-    /// instances, which have no dense representation.
+    /// BDDs in a private per-worker manager; also sweeps the suite's
+    /// symbolic instances, which have no dense representation.
     Bdd,
-    /// BDDs in **one** [`SharedManager`] serving every worker through a
-    /// per-worker [`WorkerCtx`]. Sweeps the same job set as [`Backend::Bdd`]
-    /// and produces the same semantic results (minterm counts, verdicts) —
-    /// but nodes common across jobs are built once, globally hash-consed,
-    /// instead of once per job. Dynamic reordering is ignored (the shared
-    /// store's quiescence rule: no sifting while workers hold handles).
-    BddShared,
 }
 
 impl Backend {
@@ -97,7 +83,6 @@ impl Backend {
         match self {
             Backend::Dense => "dense",
             Backend::Bdd => "bdd",
-            Backend::BddShared => "bdd-shared",
         }
     }
 }
@@ -293,8 +278,8 @@ pub fn seeded_divisor(f: &Isf, op: BinaryOp, seed: u64) -> TruthTable {
 /// At large arities the engine feeds it a seeded
 /// [`benchmarks::symbolic::noise_cover`] instead, keeping the divisor's BDD
 /// small while the side condition still holds by construction.
-pub fn seeded_divisor_bdd<M: BddOps>(
-    mgr: &mut M,
+pub fn seeded_divisor_bdd(
+    mgr: &mut BddManager,
     f_on: Bdd,
     f_dc: Bdd,
     noise: Bdd,
@@ -426,11 +411,6 @@ pub struct SweepReport {
     pub operators: Vec<OperatorStats>,
     /// End-to-end wall time of the sweep in microseconds.
     pub wall_micros: u64,
-    /// Total nodes of the one shared store after the sweep
-    /// ([`Backend::BddShared`] only; 0 otherwise). The store is append-only
-    /// while shared, so this is also its peak — report it once, never summed
-    /// per worker.
-    pub shared_nodes: u64,
     /// Log-bucketed histogram of per-job wall times in microseconds, built
     /// from the jobs' `nanos` after the pool joins (so it costs nothing on
     /// the hot path and is present whether or not [`EngineConfig::obs`] is
@@ -482,9 +462,6 @@ struct WorkerScratch {
     scratch: QuotientScratch,
     sets: QuotientSets,
     mgr: Option<BddManager>,
-    /// The worker's view of the one shared store ([`Backend::BddShared`]
-    /// only): a clone of the store handle plus worker-private caches.
-    ctx: Option<WorkerCtx>,
     /// Per-worker observability recorder ([`EngineConfig::obs`] only):
     /// plain-field accumulation per job, merged into the shared registry
     /// when the worker retires (on drop).
@@ -498,10 +475,9 @@ struct WorkerScratch {
 /// nothing).
 struct EngineRecorder {
     registry: Arc<obs::Registry>,
-    /// Prefix for the accumulated BDD manager counters (`bdd.mgr` for
-    /// per-worker managers, `bdd.worker` for shared-store contexts); `None`
-    /// on the dense backend, which has no manager.
-    bdd_prefix: Option<&'static str>,
+    /// Whether the accumulated BDD manager counters are merged (as
+    /// `bdd.mgr.*`); `false` on the dense backend, which has no manager.
+    merge_bdd: bool,
     jobs: u64,
     /// Jobs whose phase boundaries were actually clocked (the sampled
     /// subset); divide the phase nanos by this, not by `jobs`.
@@ -528,10 +504,10 @@ struct EngineRecorder {
 pub const PHASE_SAMPLE: u64 = 16;
 
 impl EngineRecorder {
-    fn new(registry: Arc<obs::Registry>, bdd_prefix: Option<&'static str>) -> Self {
+    fn new(registry: Arc<obs::Registry>, merge_bdd: bool) -> Self {
         EngineRecorder {
             registry,
-            bdd_prefix,
+            merge_bdd,
             jobs: 0,
             clocked_jobs: 0,
             tick: 0,
@@ -575,36 +551,22 @@ impl Drop for EngineRecorder {
         registry.add("engine.verify_nanos", self.verify_nanos);
         registry.add("engine.oracle_nanos", self.oracle_nanos);
         self.latency.merge_into(&registry.histogram("engine.job_micros"));
-        if let Some(prefix) = self.bdd_prefix {
-            self.bdd.merge_into(registry, prefix);
+        if self.merge_bdd {
+            self.bdd.merge_into(registry, "bdd.mgr");
         }
     }
 }
 
 impl WorkerScratch {
-    fn new() -> Self {
+    /// A scratch recording metrics into `config.obs` if set.
+    fn for_sweep(config: &EngineConfig) -> Self {
+        let merge_bdd = config.backend == Backend::Bdd;
         WorkerScratch {
             num_vars: 0,
             scratch: QuotientScratch::new(0),
             sets: QuotientSets::zero(0),
             mgr: None,
-            ctx: None,
-            rec: None,
-        }
-    }
-
-    /// A scratch whose worker context (if `store` is given) shares the one
-    /// sweep-wide node store, recording metrics into `config.obs` if set.
-    fn for_sweep(config: &EngineConfig, store: Option<&Arc<SharedManager>>) -> Self {
-        let bdd_prefix = match config.backend {
-            Backend::Dense => None,
-            Backend::Bdd => Some("bdd.mgr"),
-            Backend::BddShared => Some("bdd.worker"),
-        };
-        WorkerScratch {
-            ctx: store.map(|s| WorkerCtx::new(Arc::clone(s))),
-            rec: config.obs.as_ref().map(|r| EngineRecorder::new(Arc::clone(r), bdd_prefix)),
-            ..Self::new()
+            rec: config.obs.as_ref().map(|r| EngineRecorder::new(Arc::clone(r), merge_bdd)),
         }
     }
 
@@ -639,23 +601,20 @@ pub fn sweep(suite: &Suite, config: &EngineConfig) -> SweepReport {
     assert!(!config.ops.is_empty(), "the engine needs at least one operator");
     let instances = suite.instances();
     let mut specs = Vec::new();
-    let mut max_arity = 0;
     for (instance, inst) in instances.iter().enumerate() {
         if inst.num_inputs() > config.max_inputs {
             continue;
         }
-        max_arity = max_arity.max(inst.num_inputs());
         for output in 0..inst.num_outputs().min(config.max_outputs) {
             for op_index in 0..config.ops.len() {
                 specs.push(JobSpec { instance, output, op_index, symbolic: false });
             }
         }
     }
-    // Symbolic instances have no dense representation: only the BDD backends
+    // Symbolic instances have no dense representation: only the BDD backend
     // can execute them.
-    if matches!(config.backend, Backend::Bdd | Backend::BddShared) {
+    if config.backend == Backend::Bdd {
         for (instance, inst) in suite.symbolic_instances().iter().enumerate() {
-            max_arity = max_arity.max(inst.num_inputs());
             for output in 0..inst.num_outputs().min(config.max_outputs) {
                 for op_index in 0..config.ops.len() {
                     specs.push(JobSpec { instance, output, op_index, symbolic: true });
@@ -664,40 +623,24 @@ pub fn sweep(suite: &Suite, config: &EngineConfig) -> SweepReport {
         }
     }
 
-    // One store for every worker and every job: sized at the widest enumerated
-    // arity, narrower jobs run over its variable prefix (counts are shifted
-    // back down by the unused variables when reported).
-    let store = match config.backend {
-        // The store's shard contention counters live directly in the sweep's
-        // registry when one is attached — no mirroring step after the pool.
-        Backend::BddShared => Some(Arc::new(match &config.obs {
-            Some(registry) => SharedManager::with_registry(max_arity, registry),
-            None => SharedManager::new(max_arity),
-        })),
-        _ => None,
-    };
-
     let threads = config.effective_threads().clamp(1, specs.len().max(1));
     let start = Instant::now();
     let jobs = run_pool(
         &specs,
         threads,
-        || WorkerScratch::for_sweep(config, store.as_ref()),
+        || WorkerScratch::for_sweep(config),
         |buffers, spec| run_job(suite, config, *spec, buffers),
     );
     let wall_micros = start.elapsed().as_micros() as u64;
 
-    let shared_nodes = store.map_or(0, |s| s.num_nodes() as u64);
     // Post-pool bookkeeping: the job-latency histogram is rebuilt from the
-    // recorded per-job wall times (free for the workers), and point-in-time
-    // gauges land in the registry.
+    // recorded per-job wall times (free for the workers).
     let mut latency = obs::LocalHistogram::new();
     for job in &jobs {
         latency.record(job.nanos / 1_000);
     }
     if let Some(registry) = &config.obs {
         registry.counter("engine.sweeps").inc();
-        registry.gauge("bdd.shared.nodes").set(shared_nodes);
     }
 
     let operators = aggregate(&config.ops, &jobs);
@@ -708,7 +651,6 @@ pub fn sweep(suite: &Suite, config: &EngineConfig) -> SweepReport {
         jobs,
         operators,
         wall_micros,
-        shared_nodes,
         job_latency: latency.snapshot(),
     }
 }
@@ -845,7 +787,6 @@ fn run_job(
     match config.backend {
         Backend::Dense => run_job_dense(suite, config, spec, buffers),
         Backend::Bdd => run_job_bdd(suite, config, spec, buffers),
-        Backend::BddShared => run_job_shared(suite, config, spec, buffers),
     }
 }
 
@@ -1059,126 +1000,6 @@ fn run_job_bdd(
         bdd_nodes,
         // The oracle audit needs dense tables; symbolic jobs are never
         // audited, so the BDD backend reports every job as unaudited.
-        oracle_audited: false,
-        oracle_agreed: true,
-        nanos,
-    }
-}
-
-/// The shared-store job runner: [`run_job_bdd`]'s pipeline on the worker's
-/// [`WorkerCtx`] view of the one sweep-wide [`SharedManager`].
-///
-/// Differences from the per-worker manager path, both consequences of the
-/// store being shared:
-///
-/// * **No reordering.** The store's variable order is fixed for the whole
-///   sweep (the quiescence rule: sifting moves nodes, which would invalidate
-///   handles other workers hold), so [`EngineConfig::reorder`] is ignored.
-/// * **Arity lifting.** Every job runs over the variable prefix of the one
-///   store (sized at the sweep's widest arity). The store's extra variables
-///   are don't-appear variables of every job function, so each reported
-///   count is the store-wide count shifted down by the unused variables —
-///   bit-identical to the counts an exact-arity manager reports.
-///
-/// Per-job `bdd_nodes` is reported as 0: nodes are globally pooled and
-/// job-attribution would depend on scheduling. The store-wide total (equal
-/// to its peak — the shared arena is append-only) is reported once, in
-/// [`SweepReport::shared_nodes`].
-fn run_job_shared(
-    suite: &Suite,
-    config: &EngineConfig,
-    spec: JobSpec,
-    buffers: &mut WorkerScratch,
-) -> JobResult {
-    let op = config.ops[spec.op_index];
-    // Same seed derivation as the other backends: symbolic instances continue
-    // the dense index space.
-    let seed_instance =
-        if spec.symbolic { suite.instances().len() + spec.instance } else { spec.instance };
-    let seed = config.job_seed(seed_instance, spec.output, spec.op_index);
-    let (name, num_vars) = if spec.symbolic {
-        let inst = &suite.symbolic_instances()[spec.instance];
-        (inst.name(), inst.num_inputs())
-    } else {
-        let inst = &suite.instances()[spec.instance];
-        (inst.name(), inst.num_inputs())
-    };
-    let start = Instant::now();
-
-    let obs_on = buffers.rec.is_some();
-    let clock = buffers.rec.as_mut().is_some_and(EngineRecorder::clock_phases);
-    let ctx = buffers.ctx.as_mut().expect("the shared backend seeds every worker with a context");
-    let shift = ctx.num_vars() - num_vars;
-    let (f_on, f_dc, noise) = if spec.symbolic {
-        let inst = &suite.symbolic_instances()[spec.instance];
-        let cover = benchmarks::symbolic::noise_cover(num_vars, seed);
-        let (f_on, f_dc) = inst.build_output(ctx, spec.output);
-        let noise = ctx.cover(&cover);
-        (f_on, f_dc, noise)
-    } else {
-        let f = &suite.instances()[spec.instance].outputs()[spec.output];
-        let f_on = ctx.from_truth_table(f.on());
-        let f_dc = ctx.from_truth_table(f.dc());
-        // The same noise words the dense backend draws, lifted symbolically.
-        let mut rng = DetRng::seed_from_u64(seed);
-        let noise_tt = TruthTable::from_words(num_vars, || rng.next_u64());
-        let noise = ctx.from_truth_table(&noise_tt);
-        (f_on, f_dc, noise)
-    };
-
-    let g = seeded_divisor_bdd(ctx, f_on, f_dc, noise, op);
-    assert!(
-        is_valid_divisor_bdd(ctx, f_on, f_dc, g, op),
-        "seeded divisor violates the {op} side condition"
-    );
-    let (h_on, h_dc) = full_quotient_bdd(ctx, f_on, f_dc, g, op);
-    // Same phase split as the private BDD backend: everything up to the
-    // quotient counts as the quotient phase, verification and counting as
-    // the verify phase. Clocked on the job sample ([`PHASE_SAMPLE`]).
-    let quotient_done = clock.then(Instant::now);
-    let verified = verify_decomposition_bdd(ctx, f_on, f_dc, g, h_on, h_dc, op);
-    let maximal = verify_maximal_flexibility_bdd(ctx, f_on, f_dc, g, h_on, h_dc, op);
-
-    let h_off = quotient_off_bdd(ctx, h_on, h_dc);
-    let err = {
-        let x = ctx.xor(g, f_on);
-        ctx.diff(x, f_dc)
-    };
-    let (on_minterms, dc_minterms, off_minterms, divisor_errors) = (
-        ctx.sat_count(h_on) >> shift,
-        ctx.sat_count(h_dc) >> shift,
-        ctx.sat_count(h_off) >> shift,
-        ctx.sat_count(err) >> shift,
-    );
-    // The worker context's stats accumulate across jobs; taking and
-    // resetting them per job yields the per-job delta for the recorder.
-    let job_stats = obs_on.then(|| {
-        let stats = ctx.stats();
-        ctx.reset_stats();
-        stats
-    });
-    let nanos = start.elapsed().as_nanos() as u64;
-    if let Some(rec) = &mut buffers.rec {
-        let phases = quotient_done.map(|qd| {
-            let quotient = (qd - start).as_nanos() as u64;
-            (quotient, nanos.saturating_sub(quotient), 0)
-        });
-        rec.record_job(nanos, phases);
-        rec.bdd.accumulate(&job_stats.expect("taken with the recorder"));
-    }
-    JobResult {
-        instance: name.to_string(),
-        output: spec.output,
-        op,
-        num_vars,
-        on_minterms,
-        dc_minterms,
-        off_minterms,
-        divisor_errors,
-        verified,
-        maximal,
-        bdd_nodes: 0,
-        // Like the per-worker BDD backend: the oracle needs dense tables.
         oracle_audited: false,
         oracle_agreed: true,
         nanos,
@@ -1831,91 +1652,6 @@ mod tests {
         assert!(some_job_shrank, "reordering should shrink at least one large-suite job");
     }
 
-    /// The semantic tuple minus `bdd_nodes`: the shared backend pools nodes
-    /// (per-job counts are reported as 0), so cross-backend comparisons pin
-    /// every field except node attribution.
-    #[allow(clippy::type_complexity)]
-    fn semantic_sans_nodes(
-        j: &JobResult,
-    ) -> (&str, usize, BinaryOp, usize, u64, u64, u64, u64, bool, bool) {
-        (
-            &j.instance,
-            j.output,
-            j.op,
-            j.num_vars,
-            j.on_minterms,
-            j.dc_minterms,
-            j.off_minterms,
-            j.divisor_errors,
-            j.verified,
-            j.maximal,
-        )
-    }
-
-    #[test]
-    fn shared_backend_matches_the_private_backends_on_smoke() {
-        let suite = Suite::smoke();
-        let dense = sweep(&suite, &EngineConfig { threads: 2, ..EngineConfig::default() });
-        let bdd = sweep(
-            &suite,
-            &EngineConfig { threads: 2, backend: Backend::Bdd, ..EngineConfig::default() },
-        );
-        let shared = sweep(
-            &suite,
-            &EngineConfig { threads: 2, backend: Backend::BddShared, ..EngineConfig::default() },
-        );
-        assert_eq!(dense.total_jobs(), shared.total_jobs());
-        assert_eq!(bdd.total_jobs(), shared.total_jobs());
-        for ((d, b), s) in dense.jobs.iter().zip(&bdd.jobs).zip(&shared.jobs) {
-            assert_eq!(semantic_sans_nodes(d), semantic_sans_nodes(s));
-            assert_eq!(semantic_sans_nodes(b), semantic_sans_nodes(s));
-            assert_eq!(s.bdd_nodes, 0, "shared jobs pool their nodes");
-        }
-        assert_eq!(dense.shared_nodes, 0);
-        assert_eq!(bdd.shared_nodes, 0);
-        assert!(shared.shared_nodes > 1, "the one store must have built real nodes");
-    }
-
-    #[test]
-    fn shared_backend_is_deterministic_across_thread_counts_and_reruns() {
-        let suite = Suite::large();
-        let base = EngineConfig {
-            backend: Backend::BddShared,
-            max_outputs: 1,
-            ops: vec![BinaryOp::And, BinaryOp::Xor],
-            ..EngineConfig::default()
-        };
-        let one = sweep(&suite, &EngineConfig { threads: 1, ..base.clone() });
-        let two = sweep(&suite, &EngineConfig { threads: 2, ..base.clone() });
-        let eight = sweep(&suite, &EngineConfig { threads: 8, ..base.clone() });
-        let again = sweep(&suite, &EngineConfig { threads: 8, ..base.clone() });
-        assert!(one.all_verified(), "every shared symbolic job must verify");
-        assert!(one.jobs.iter().any(|j| j.num_vars >= 40), "the large suite reaches 40 inputs");
-        assert_eq!(one.total_jobs(), eight.total_jobs());
-        for ((a, b), (c, d)) in
-            one.jobs.iter().zip(&two.jobs).zip(eight.jobs.iter().zip(&again.jobs))
-        {
-            assert_eq!(a.semantic(), b.semantic(), "shared sweep depends on thread count");
-            assert_eq!(a.semantic(), c.semantic(), "shared sweep depends on thread count");
-            assert_eq!(a.semantic(), d.semantic(), "shared sweep is not rerun-stable");
-        }
-        // The final node-set is demand-determined: hash consing makes the
-        // store contents (not just the report) independent of scheduling.
-        assert_eq!(one.shared_nodes, eight.shared_nodes);
-        assert_eq!(one.shared_nodes, again.shared_nodes);
-
-        // Reordering is ignored on the shared backend (quiescence rule), so a
-        // reorder config changes nothing at all.
-        let reordered = sweep(
-            &suite,
-            &EngineConfig { threads: 2, reorder: Some(ReorderConfig::default()), ..base },
-        );
-        for (a, b) in one.jobs.iter().zip(&reordered.jobs) {
-            assert_eq!(a.semantic(), b.semantic());
-        }
-        assert_eq!(one.shared_nodes, reordered.shared_nodes);
-    }
-
     #[test]
     fn bdd_reordering_is_deterministic_across_thread_counts() {
         // With sifting enabled, bdd_nodes depends on the reordering — which
@@ -2024,30 +1760,6 @@ mod tests {
         for (a, b) in plain.jobs.iter().zip(&one.jobs) {
             assert_eq!(a.semantic(), b.semantic(), "metrics influenced results");
         }
-    }
-
-    #[test]
-    fn obs_shared_backend_records_worker_and_store_counters() {
-        let suite = Suite::smoke();
-        let registry = Arc::new(obs::Registry::new());
-        let config = EngineConfig {
-            backend: Backend::BddShared,
-            threads: 4,
-            obs: Some(Arc::clone(&registry)),
-            ..EngineConfig::default()
-        };
-        let report = sweep(&suite, &config);
-        let counters = counter_map(&registry);
-        assert!(counters["bdd.worker.unique_lookups"] > 0);
-        assert!(counters["bdd.shared.lock_acquires"] > 0, "every fresh node takes the shard lock");
-        assert!(counters.contains_key("bdd.shared.lock_contended"));
-        let snapshot = registry.snapshot();
-        let nodes = snapshot
-            .gauges
-            .iter()
-            .find(|(name, _)| name == "bdd.shared.nodes")
-            .expect("store size gauge");
-        assert_eq!(nodes.1.current, report.shared_nodes);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! incompletely specified `h` with the smallest on-set and the largest dc-set
 //! such that `f = g op h` for every completion of `h`.
 
-use bdd::{Bdd, BddOps};
+use bdd::{Bdd, BddManager};
 use boolfunc::{Isf, TruthTable};
 
 use crate::approximation::check_divisor;
@@ -265,8 +265,8 @@ pub fn full_quotient(f: &Isf, g: &TruthTable, op: BinaryOp) -> Result<Isf, Bidec
 /// off-set, and the care set is never materialized at all (the final
 /// `base \ h_dc` subtraction already removes every don't-care, because
 /// `f_dc ⊆ h_dc` on every row).
-pub fn full_quotient_bdd<M: BddOps>(
-    mgr: &mut M,
+pub fn full_quotient_bdd(
+    mgr: &mut BddManager,
     f_on: Bdd,
     f_dc: Bdd,
     g: Bdd,
@@ -302,7 +302,7 @@ pub fn full_quotient_bdd<M: BddOps>(
 
 /// The off-set of a quotient returned by [`full_quotient_bdd`]:
 /// `h_off = ¬(h_on ∪ h_dc)`.
-pub fn quotient_off_bdd<M: BddOps>(mgr: &mut M, h_on: Bdd, h_dc: Bdd) -> Bdd {
+pub fn quotient_off_bdd(mgr: &mut BddManager, h_on: Bdd, h_dc: Bdd) -> Bdd {
     mgr.nor(h_on, h_dc)
 }
 
