@@ -10,8 +10,7 @@
 //! cargo run -p bidecomp-bench --release --bin bdd_sweep -- \
 //!     [--suite large|smoke|table3|table4|all] [--threads N] [--seed N] \
 //!     [--max-inputs N] [--max-outputs N] [--repeat N] [--json PATH] \
-//!     [--reorder] [--no-reorder] [--sift-threshold N] \
-//!     [--no-scaling] [--scaling-only] [--write-baseline]
+//!     [--reorder] [--no-reorder] [--sift-threshold N] [--write-baseline]
 //! ```
 //!
 //! Dynamic variable ordering is **on by default** for this bench
@@ -31,24 +30,19 @@
 //! isolates the manager rewrite. Every arm runs `--repeat` times (default 3)
 //! and the fastest run of each is used.
 //!
-//! On top of the single-configuration sweep, a **thread-scaling arm** (on by
-//! default, `--no-scaling` to skip) re-runs the suite with the per-worker
-//! managers (`Backend::Bdd`) at 1/2/4/8 threads, reordering off. Each row
-//! records wall time, peak live nodes (the max over per-job managers) and a
-//! FNV-1a fingerprint of every job's semantic results. The binary refuses
-//! to emit rows whose fingerprints or peaks vary with thread count (the
-//! backend is deterministic). Rows land in the sweep document's `scaling`
-//! block; `--scaling-only` instead runs *only* this arm and writes a
-//! standalone `bidecomp-bdd-scaling-v1` document (default
-//! `BENCH_bdd_scaling.json`) for the independent CI gate. The
-//! document records `host_threads` so `regress` only holds speedups to a
-//! floor on hosts that actually have parallelism.
+//! After the single-configuration sweep, a **thread-scaling arm** re-runs the
+//! suite with the per-worker managers (`Backend::Bdd`) at 1/2/4/8 threads,
+//! reordering off. Each row records wall time and peak live nodes (the max
+//! over per-job managers); one FNV-1a fingerprint covers every job's
+//! semantic results. The binary refuses to emit rows whose fingerprints or
+//! peaks vary with thread count (the backend is deterministic), or whose
+//! fingerprint differs from the main sweep's. The rows land in the sweep
+//! document's `scaling` block, which records `host_threads` so `regress`
+//! only holds speedups to a floor on hosts that actually have parallelism.
 //!
-//! `--write-baseline` additionally rewrites the committed reference the CI
-//! `bench-smoke` job guards with the `regress` binary:
-//! `BENCH_bdd_baseline.json` (full sweep) or `BENCH_bdd_scaling_baseline.json`
-//! (under `--scaling-only`). Output lands in `BENCH_OUT_DIR` (default:
-//! working directory).
+//! `--write-baseline` additionally rewrites `BENCH_bdd_baseline.json`, the
+//! committed reference the CI `bench-smoke` job guards with the `regress`
+//! binary. Output lands in `BENCH_OUT_DIR` (default: working directory).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -520,25 +514,12 @@ fn run_reference(suite: &Suite, config: &EngineConfig) -> (u64, Vec<RefJob>) {
     (start.elapsed().as_micros() as u64, results)
 }
 
-/// How much of the thread-scaling arm to run.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Scaling {
-    /// Single-configuration sweep only (`--no-scaling`).
-    Off,
-    /// Sweep plus the scaling arm, rows embedded in the sweep document.
-    With,
-    /// Only the scaling arm, as a standalone document (`--scaling-only`).
-    Only,
-}
-
 struct Args {
     suite: String,
     config: EngineConfig,
-    /// `--json` if given; otherwise the mode's default artifact name.
-    json_path: Option<String>,
+    json_path: String,
     write_baseline: bool,
     repeat: usize,
-    scaling: Scaling,
 }
 
 /// The bench's default auto-sift trigger, tuned on `Suite::large()`: the
@@ -566,10 +547,9 @@ fn parse_args() -> Args {
             reorder: Some(bench_reorder()),
             ..EngineConfig::default()
         },
-        json_path: None,
+        json_path: "BENCH_bdd_sweep.json".to_string(),
         write_baseline: false,
         repeat: 3,
-        scaling: Scaling::With,
     };
     let mut argv = ArgCursor::from_env("bdd_sweep");
     while let Some(flag) = argv.next_flag() {
@@ -580,9 +560,7 @@ fn parse_args() -> Args {
             "--max-inputs" => args.config.max_inputs = argv.number(&flag) as usize,
             "--max-outputs" => args.config.max_outputs = argv.number(&flag) as usize,
             "--repeat" => args.repeat = argv.number(&flag) as usize,
-            "--json" => args.json_path = Some(argv.value(&flag)),
-            "--no-scaling" => args.scaling = Scaling::Off,
-            "--scaling-only" => args.scaling = Scaling::Only,
+            "--json" => args.json_path = argv.value(&flag),
             "--reorder" => args.config.reorder = Some(bench_reorder()),
             "--no-reorder" => args.config.reorder = None,
             "--sift-threshold" => {
@@ -717,9 +695,8 @@ fn run_scaling(
     })
 }
 
-/// The scaling block shared by the embedded (`scaling` key of the sweep
-/// document) and standalone (`bidecomp-bdd-scaling-v1`) forms.
-fn scaling_fields(scaling: &ScalingSummary) -> Vec<(String, Value)> {
+/// The sweep document's `scaling` block.
+fn scaling_to_json(scaling: &ScalingSummary) -> Value {
     let rows = scaling
         .rows
         .iter()
@@ -732,23 +709,13 @@ fn scaling_fields(scaling: &ScalingSummary) -> Vec<(String, Value)> {
             ])
         })
         .collect();
-    vec![
+    Value::Object(vec![
         ("host_threads".into(), json::num(scaling.host_threads as u64)),
         ("jobs".into(), json::num(scaling.jobs as u64)),
         ("semantic_fp".into(), json::s(&scaling.fingerprint)),
         ("private_peak_nodes".into(), json::num(scaling.private_peak)),
         ("rows".into(), Value::Array(rows)),
-    ]
-}
-
-/// The standalone `--scaling-only` document.
-fn scaling_to_json(suite: &str, scaling: &ScalingSummary) -> Value {
-    let mut fields = vec![
-        ("schema".into(), json::s("bidecomp-bdd-scaling-v1")),
-        ("suite".into(), json::s(suite)),
-    ];
-    fields.extend(scaling_fields(scaling));
-    Value::Object(fields)
+    ])
 }
 
 fn print_scaling(scaling: &ScalingSummary) {
@@ -781,7 +748,7 @@ fn report_to_json(
     engine_1t_micros: u64,
     reference_micros: u64,
     speedup: f64,
-    scaling: Option<&ScalingSummary>,
+    scaling: &ScalingSummary,
 ) -> Value {
     let operators = report
         .operators
@@ -801,7 +768,7 @@ fn report_to_json(
         .collect();
     let max_vars = report.jobs.iter().map(|j| j.num_vars).max().unwrap_or(0);
     let peak_nodes = report.jobs.iter().map(|j| j.bdd_nodes).max().unwrap_or(0);
-    let mut fields = vec![
+    Value::Object(vec![
         ("schema".into(), json::s("bidecomp-sweep-v1")),
         ("backend".into(), json::s(report.backend.name())),
         ("reorder".into(), Value::Bool(reorder)),
@@ -817,11 +784,8 @@ fn report_to_json(
         ("sequential_wall_ms".into(), Value::Num(reference_micros as f64 / 1000.0)),
         ("speedup".into(), Value::Num((speedup * 1000.0).round() / 1000.0)),
         ("operators".into(), Value::Array(operators)),
-    ];
-    if let Some(scaling) = scaling {
-        fields.push(("scaling".into(), Value::Object(scaling_fields(scaling))));
-    }
-    Value::Object(fields)
+        ("scaling".into(), scaling_to_json(scaling)),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -830,56 +794,20 @@ fn main() -> ExitCode {
         eprintln!("unknown suite '{}'; expected large, smoke, table3, table4 or all", args.suite);
         return ExitCode::FAILURE;
     };
-    let json_path = args.json_path.clone().unwrap_or_else(|| {
-        match args.scaling {
-            Scaling::Only => "BENCH_bdd_scaling.json",
-            _ => "BENCH_bdd_sweep.json",
-        }
-        .to_string()
-    });
-    // The committed baselines are only ever refreshed deliberately: pointing
-    // `--json` at one without `--write-baseline` is almost certainly a typo
+    // The committed baseline is only ever refreshed deliberately: pointing
+    // `--json` at it without `--write-baseline` is almost certainly a typo
     // that would silently loosen the CI gate to "compare against myself".
-    for committed in ["BENCH_bdd_baseline.json", "BENCH_bdd_scaling_baseline.json"] {
-        if !args.write_baseline && bench_out_path(&json_path) == bench_out_path(committed) {
-            eprintln!(
-                "refusing to overwrite the committed baseline {json_path}; \
-                 pass --write-baseline to refresh it deliberately"
-            );
-            return ExitCode::FAILURE;
-        }
+    if !args.write_baseline
+        && bench_out_path(&args.json_path) == bench_out_path("BENCH_bdd_baseline.json")
+    {
+        eprintln!(
+            "refusing to overwrite the committed baseline {}; \
+             pass --write-baseline to refresh it deliberately",
+            args.json_path
+        );
+        return ExitCode::FAILURE;
     }
     let repeat = args.repeat.max(1);
-
-    // `--scaling-only`: just the scaling arm, as its own document, for the
-    // independent CI produce-then-gate step.
-    if args.scaling == Scaling::Only {
-        println!("== BDD thread-scaling arm only: suite '{}' ==", suite.name());
-        let scaling = match run_scaling(&suite, &args.config, repeat) {
-            Ok(scaling) => scaling,
-            Err(message) => {
-                eprintln!("FAIL: {message}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print_scaling(&scaling);
-        let text = json::pretty(&scaling_to_json(suite.name(), &scaling));
-        let path = bench_out_path(&json_path);
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
-        if args.write_baseline {
-            let path = bench_out_path("BENCH_bdd_scaling_baseline.json");
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("could not write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
-        }
-        return ExitCode::SUCCESS;
-    }
 
     println!(
         "== BDD sweep: suite '{}' ({} dense + {} symbolic instances) ==",
@@ -961,23 +889,18 @@ fn main() -> ExitCode {
     // semantically cross-checked across thread counts inside `run_scaling` and
     // against the main arm here (reordering changes node counts, never
     // functions, so the fingerprints must agree).
-    let scaling = match args.scaling {
-        Scaling::With => match run_scaling(&suite, &args.config, repeat) {
-            Ok(scaling) => Some(scaling),
-            Err(message) => {
-                eprintln!("FAIL: {message}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => None,
-    };
-    if let Some(scaling) = &scaling {
-        if semantic_fingerprint(&report) != scaling.fingerprint {
-            eprintln!("FAIL: the scaling arm diverges semantically from the main sweep");
+    let scaling = match run_scaling(&suite, &args.config, repeat) {
+        Ok(scaling) => scaling,
+        Err(message) => {
+            eprintln!("FAIL: {message}");
             return ExitCode::FAILURE;
         }
-        print_scaling(scaling);
+    };
+    if semantic_fingerprint(&report) != scaling.fingerprint {
+        eprintln!("FAIL: the scaling arm diverges semantically from the main sweep");
+        return ExitCode::FAILURE;
     }
+    print_scaling(&scaling);
 
     let doc = report_to_json(
         suite.name(),
@@ -986,10 +909,10 @@ fn main() -> ExitCode {
         engine_1t_micros,
         reference_micros,
         speedup,
-        scaling.as_ref(),
+        &scaling,
     );
     let text = json::pretty(&doc);
-    let path = bench_out_path(&json_path);
+    let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {
         eprintln!("could not write {}: {e}", path.display());
         return ExitCode::FAILURE;

@@ -1,119 +1,452 @@
-//! The CI perf-regression gate: compares a fresh sweep artifact against its
+//! The CI regression gate: compares a fresh benchmark artifact against its
 //! committed baseline and exits non-zero on regression.
-//!
-//! Usage:
 //!
 //! ```text
 //! cargo run -p bidecomp-bench --release --bin regress -- \
-//!     [--baseline PATH] [--current PATH] [--tolerance F] [--node-tolerance F]
+//!     [--baseline PATH] [--current PATH] [--tolerance F]
 //! ```
 //!
-//! Two document schemas are understood, dispatched on the `schema` field
-//! (baseline and current must agree):
+//! Baseline and current must carry the same `schema`. Its row of [`GATES`]
+//! lists the [`Check`]s that one interpreter runs over the two documents,
+//! and every failure names the dotted path of its field
+//! (`operators[AND].on_minterms`, `robustness.sheds`, `scaling.rows[bdd@4]`).
+//! Deterministic fields — the Table II quotient statistics, the Lemma
+//! verdicts, synthesis results, workload shapes and fault plans — are exact.
+//! Same-process ratios are banded by `--tolerance` (default 0.75). Raw wall
+//! times and latencies differ between hosts and are reported, never
+//! compared. Two checks are not per-field and stay plain functions:
+//! [`scaling_speedups`] and [`scrape_accounting`].
 //!
-//! * `bidecomp-sweep-v1` — the quotient sweeps (`sweep`, `bdd_sweep`):
-//!   exact semantic comparison plus the tolerance-banded `speedup` ratio
-//!   described below; when the baseline carries a `scaling` block (the BDD
-//!   sweep's thread-scaling arm), it is gated as described under the
-//!   scaling schema;
-//! * `bidecomp-bdd-scaling-v1` — the standalone thread-scaling arm
-//!   (`bdd_sweep --scaling-only`): the job count, the semantic fingerprint
-//!   (one FNV-1a digest over every job's quotient counts and verdicts —
-//!   `bdd_sweep` itself refuses to emit rows whose fingerprints differ
-//!   across thread counts, so one field pins every row == baseline), and
-//!   the `(backend, threads)` row set are exact; the peak node count sits
-//!   under the `--node-tolerance` ceiling. Speedup checks are
-//!   **host-aware** — wall-clock scaling only exists where hardware
-//!   parallelism does, so they engage only when the current run's
-//!   `host_threads` permits: with 2+ hardware threads the `bdd` rows'
-//!   speedup over their own 1-thread row must improve monotonically across
-//!   1/2/4 threads within the tolerance band and must exceed 1.0 at the
-//!   largest gated thread count; with 4+ hardware threads the 8-thread
-//!   speedup must additionally stay above
-//!   `max(1.0, speedup(4) × (1 − tolerance))`. On a single-hardware-thread
-//!   host the rows are reported, never compared.
-//! * `bidecomp-synth-v1` — the recursive-synthesis sweep (`synth_sweep`):
-//!   the whole document is deterministic (no reference arm, no ratio), so
-//!   the aggregate counters and every per-`(instance, output)` row — gate
-//!   count, depth, branch count, rounded areas and gain — are compared
-//!   exactly (areas within 1e-6 to absorb decimal-text round-tripping);
-//!   `--tolerance` is ignored.
-//! * `bidecomp-service-v1` — the service load generator
-//!   (`service_loadgen`): the workload shape (request counts, arity, base
-//!   pool, connection count) and the zero-error requirement are exact; the
-//!   cached-over-cold `speedup` ratio uses the same tolerance band as the
-//!   sweep schema (both arms run in one process against one server, so the
-//!   ratio is machine-comparable), and the cached arm's `hit_rate` may dip
-//!   at most 5 points below the baseline (concurrent first-misses of one
-//!   key can steal a handful of hits). When the baseline carries a
-//!   `robustness` block (the happy-path failure counters), every counter
-//!   is compared exactly — a clean run must stay clean. When it carries a
-//!   `scrape` block (`service_loadgen --scrape`, the server's own
-//!   `bidecomp-metrics-v1` snapshot), the counter **name set** is compared
-//!   exactly (instrumentation must not silently appear or vanish), the
-//!   server must report zero panics, the server-side per-verb request
-//!   counts must equal twice the client-side workload counts (both arms
-//!   replay the same workload; any gap means a request was lost or
-//!   double-counted), and the server-side p99 sits under a wide
-//!   `baseline × (1 + 4 × tolerance)` ceiling (absolute latencies differ
-//!   across hosts far more than same-process ratios do). Client-side
-//!   latencies are reported, never compared.
-//! * `bidecomp-service-chaos-v1` — the chaos arm (`service_loadgen
-//!   --chaos`): the workload shape and fault rates are exact, and the run
-//!   must report **zero lost**, **zero corrupted**, full completion
-//!   (`completed == requests`) and `recovered == true`. Retry/shed/panic
-//!   counts and latencies vary with timing and are reported, never
-//!   compared; `--tolerance` is ignored.
-//! * `bidecomp-oracle-v1` — the cross-backend fuzzer (`oracle_fuzz`):
-//!   everything except the wall time is deterministic and compared exactly;
-//!   additionally the current run must report zero three-way disagreements
-//!   and a fully effective tamper self-check.
-//! * `bidecomp-obs-overhead-v1` — the observability overhead guard
-//!   (`obs_overhead`): the suite and job count are exact, and the measured
-//!   `overhead_ratio` (sweep wall with the metrics registry attached over
-//!   the wall with it detached, min-of-reps, same process) must stay at or
-//!   under `1 + tolerance`. The ratio is same-process and
-//!   hardware-independent, so it is gated against the absolute ceiling, not
-//!   the baseline's own ratio; raw walls are reported, never compared.
-//!
-//! For the sweep schema, two classes of checks:
-//!
-//! * **Semantic (exact):** suite name, job count, and the per-operator
-//!   `jobs` / `verified` / `maximal` / `on_minterms` / `dc_minterms` /
-//!   `divisor_errors` aggregates must match the baseline bit for bit — they
-//!   are deterministic (seed-stable divisors, fixed suites), so any drift is
-//!   a real behavior change.
-//! * **Performance (tolerance band):** the sweep's `speedup` field is the
-//!   ratio of the sequential/allocating reference path to the batch engine
-//!   *with both arms at one thread, measured in the same process on the same
-//!   machine*, which makes it comparable across hosts — it neither depends
-//!   on absolute machine speed (same-process ratio) nor on core count
-//!   (single-threaded arms). The gate fails when
-//!   `current.speedup < max(1.0, baseline.speedup × (1 − tolerance))`;
-//!   the default tolerance of 0.75 absorbs noisy shared CI runners while
-//!   still catching the hot path regressing back toward the allocating
-//!   implementation. Raw wall times and thread counts differ between
-//!   machines and are only reported, never compared.
-//! * **Peak node count (ceiling):** when the baseline carries a positive
-//!   `peak_bdd_nodes` (the BDD sweep does, the dense sweep does not), the
-//!   current run's peak live node count must stay under
-//!   `floor(baseline.peak_bdd_nodes × (1 + node_tolerance))`. The peak is
-//!   fully deterministic (fixed suite, seeded divisors, deterministic
-//!   sifting — no time-based triggers), so the default `--node-tolerance`
-//!   of 0.05 is pure headroom for deliberate small algorithmic changes;
-//!   anything above it means variable ordering or garbage collection
-//!   regressed.
+//! Exit codes: 0 OK; 1 a gate failed or an artifact is unreadable or
+//! malformed; 2 bad command line.
 
+use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use bidecomp_bench::cli::ArgCursor;
 use bidecomp_bench::json::Value;
+use Check::*;
+
+/// Headroom of the peak-node ceilings. The peaks are deterministic (fixed
+/// suite, seeded divisors, no time-based reorder triggers), so the band only
+/// leaves room for deliberate small algorithmic changes.
+const NODE_TOLERANCE: f64 = 0.05;
+
+/// `Err` when an artifact is malformed; gate failures are collected apart.
+type Verdict = Result<(), String>;
+
+/// Field names a check applies to, one by one.
+type Keys = &'static [&'static str];
+
+/// One gate over fields of the baseline and current documents. A field a
+/// check reads must exist, or the artifact is malformed.
+enum Check {
+    /// Equal: exact for integers, strings and bools, within 1e-6 for floats.
+    Same(Keys),
+    /// The current value is 0.
+    Zero(Keys),
+    /// The current value is `true`.
+    True(Keys),
+    /// The current value of the first field equals that of the second.
+    Equal(&'static str, &'static str),
+    /// A same-process ratio: current ≥ max(1, baseline × (1 − tolerance)).
+    Floor(&'static str),
+    /// A deterministic node count: current ≤ baseline × (1 + [`NODE_TOLERANCE`]).
+    /// Gated when the baseline records a positive count.
+    NodeCeiling(&'static str),
+    /// A rate: current ≥ baseline − 0.05 (five points).
+    PointsFloor(&'static str),
+    /// A same-process overhead ratio: current ≤ 1 + tolerance, whatever the
+    /// baseline's own ratio.
+    AbsCeiling(&'static str),
+    /// A cross-host latency: current ≤ baseline × (1 + 4 × tolerance), a band
+    /// wide enough to catch only order-of-magnitude regressions. Gated when
+    /// the baseline is positive.
+    LatencyCeiling(&'static str),
+    /// `Rows(array, key, checks)`: rows matched on the `key` fields. Every
+    /// baseline row has a current row with its key, `checks` run on each
+    /// pair, and the row counts agree.
+    Rows(&'static str, Keys, &'static [Check]),
+    /// A nested object, gated only when the baseline carries it.
+    Block(&'static str, &'static [Check]),
+    /// Reported, never compared.
+    Info(Keys),
+    /// A check over a whole (sub)document that is not per-field.
+    Func(fn(&mut Gate<'_>, &Value, &Value, &str) -> Verdict),
+}
+
+/// The gate table: one row per artifact schema.
+const GATES: &[(&str, &[Check])] = &[
+    // `sweep` and `bdd_sweep`: per-operator Table II statistics, the BDD
+    // peak, the reference-over-engine speedup (both arms at one thread) and
+    // the BDD sweep's thread-scaling arm.
+    ("bidecomp-sweep-v1", SWEEP),
+    // `synth_sweep`: fully deterministic, one row per (instance, output).
+    ("bidecomp-synth-v1", SYNTH),
+    // `service_loadgen`: the workload shape, zero errors, the cached-over-cold
+    // speedup, the cached arm's NPN hit rate, the happy-path robustness
+    // counters and the server's own `--scrape` snapshot.
+    ("bidecomp-service-v1", SERVICE),
+    // `service_loadgen --chaos`: the seeded workload and fault plan, and the
+    // absolute robustness contract under them.
+    ("bidecomp-service-chaos-v1", CHAOS),
+    // `oracle_fuzz`: the seeded corpus and the three judges' verdict split.
+    ("bidecomp-oracle-v1", ORACLE),
+    // `obs_overhead`: the job shape and the metrics registry's cost.
+    ("bidecomp-obs-overhead-v1", OBS_OVERHEAD),
+];
+
+const SWEEP: &[Check] = &[
+    Same(&["suite", "jobs", "verified", "maximal"]),
+    Rows(
+        "operators",
+        &["op"],
+        &[
+            Same(&["jobs", "verified", "maximal"]),
+            Same(&["on_minterms", "dc_minterms", "divisor_errors"]),
+        ],
+    ),
+    NodeCeiling("peak_bdd_nodes"),
+    Floor("speedup"),
+    Info(&["engine_wall_ms"]),
+    // One fingerprint over every job's quotients and verdicts: `bdd_sweep`
+    // refuses to emit rows whose fingerprints differ across thread counts.
+    Block(
+        "scaling",
+        &[
+            Same(&["jobs", "semantic_fp"]),
+            NodeCeiling("private_peak_nodes"),
+            Rows("rows", &["backend", "threads"], &[]),
+            Func(scaling_speedups),
+        ],
+    ),
+];
+
+const SYNTH: &[Check] = &[
+    Same(&["suite", "jobs", "verified", "total_gates", "total_branches"]),
+    Same(&["average_gain_percent"]),
+    Rows(
+        "instances",
+        &["instance", "output"],
+        &[
+            Same(&["num_vars", "gates", "depth", "branches", "verified"]),
+            Same(&["mapped_area", "flat_area", "gain_percent"]),
+        ],
+    ),
+    Info(&["wall_ms"]),
+];
+
+const SERVICE: &[Check] = &[
+    Same(&["requests", "synthesize", "decompose", "connections", "num_vars", "bases"]),
+    Same(&["repeat_ratio"]),
+    Zero(&["errors"]),
+    Floor("speedup"),
+    PointsFloor("hit_rate"),
+    Block("cold", &[Info(&["p50_ms", "p99_ms"])]),
+    Block("cached", &[Info(&["p50_ms", "p99_ms"])]),
+    Block(
+        "robustness",
+        &[
+            Same(&["sheds", "timeouts", "panics"]),
+            Same(&["rejected_connections", "slow_clients", "line_overflows"]),
+        ],
+    ),
+    Block(
+        "scrape",
+        &[
+            Same(&["schema"]),
+            Block("counters", &[Zero(&["server.panics"])]),
+            Block(
+                "verbs",
+                &[
+                    Block("decompose", &[Info(&["p50_ms"]), LatencyCeiling("p99_ms")]),
+                    Block("synthesize", &[Info(&["p50_ms"]), LatencyCeiling("p99_ms")]),
+                ],
+            ),
+            Func(scrape_accounting),
+        ],
+    ),
+];
+
+const CHAOS: &[Check] = &[
+    Same(&["requests", "connections", "num_vars", "bases", "recovery_requests"]),
+    Same(&["repeat_ratio"]),
+    Block("faults", &[Same(&["panic_per_mille", "delay_per_mille", "delay_ms", "drop_per_mille"])]),
+    Equal("completed", "requests"),
+    Zero(&["lost", "corrupted", "recovery_errors"]),
+    True(&["recovered"]),
+    Info(&["retries", "overloads_seen", "internal_seen", "reconnects", "p50_ms", "p99_ms"]),
+];
+
+const ORACLE: &[Check] = &[
+    Same(&["seed", "cases", "min_vars", "max_vars", "ops", "checks"]),
+    Same(&["valid_divisors", "invalid_divisors", "tamper_checks"]),
+    Zero(&["disagreements"]),
+    True(&["tamper_rejected"]),
+    Info(&["tamper_lemma", "wall_ms"]),
+];
+
+const OBS_OVERHEAD: &[Check] = &[
+    Same(&["suite", "jobs"]),
+    AbsCeiling("overhead_ratio"),
+    Info(&["wall_off_micros", "wall_on_micros"]),
+];
+
+/// The `bdd` rows' speedups over their own 1-thread row, from the current
+/// run only. Wall-clock scaling exists only where hardware parallelism
+/// does, so the checks engage by the current run's `host_threads`: with 2+
+/// the speedups must improve over 1/2/4 threads within the tolerance band
+/// and exceed 1.0 at the largest of those counts; with 4+ the 8-thread
+/// speedup must also hold `max(1, speedup(4) × (1 − tolerance))`.
+fn scaling_speedups(gate: &mut Gate<'_>, _: &Value, cur: &Value, at: &str) -> Verdict {
+    let file = gate.args.current.as_str();
+    let mut walls = Vec::new();
+    for row in rows(cur, "rows", file, at)? {
+        if row.get("backend").and_then(Value::as_str) == Some("bdd") {
+            let (threads, wall) =
+                (number(row, "threads", file, at)?, number(row, "wall_ms", file, at)?);
+            walls.push((threads as u64, wall));
+        }
+    }
+    walls.sort_by_key(|&(threads, _)| threads);
+    let Some(&(1, wall_1t)) = walls.first() else {
+        return Err(format!("{file}: {at}.rows lack a 1-thread bdd row"));
+    };
+    let speedups: Vec<(u64, f64)> =
+        walls.iter().map(|&(t, wall)| (t, wall_1t / wall.max(f64::MIN_POSITIVE))).collect();
+    let speedup = |threads| speedups.iter().find(|s| s.0 == threads).map(|s| s.1);
+    let host = number(cur, "host_threads", file, at)?;
+    let summary: Vec<String> = speedups.iter().map(|(t, s)| format!("{s:.2}x@{t}t")).collect();
+    println!("{at}: bdd speedups on a {host}-hardware-thread host: {}", summary.join(" "));
+    if host < 2.0 {
+        println!("{at}: speedups reported only (the host has no hardware parallelism)");
+        return Ok(());
+    }
+    let tol = gate.args.tolerance;
+    let gated: Vec<(u64, f64)> =
+        [1, 2, 4].into_iter().filter_map(|t| Some((t, speedup(t)?))).collect();
+    for pair in gated.windows(2) {
+        let ((t0, s0), (t1, s1)) = (pair[0], pair[1]);
+        if s1 < s0 * (1.0 - tol) {
+            gate.fail(format!(
+                "{at}.rows[bdd@{t1}] speedup {s1:.2}x fell below the banded {s0:.2}x at {t0} \
+                 threads (floor {:.2}x, tolerance {tol})",
+                s0 * (1.0 - tol)
+            ));
+        }
+    }
+    if let Some(&(top, s)) = gated.last().filter(|&&(top, s)| top > 1 && s < 1.0) {
+        gate.fail(format!(
+            "{at}.rows[bdd@{top}] speedup {s:.2}x: threading must beat the 1-thread run on a \
+             {host}-hardware-thread host"
+        ));
+    }
+    if let (true, Some(s4), Some(s8)) = (host >= 4.0, speedup(4), speedup(8)) {
+        let floor = (s4 * (1.0 - tol)).max(1.0);
+        if s8 < floor {
+            gate.fail(format!(
+                "{at}.rows[bdd@8] speedup {s8:.2}x fell below the floor {floor:.2}x \
+                 (4-thread {s4:.2}x, tolerance {tol})"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The server's counter name set is exact (instrumentation must not
+/// silently appear or vanish). Zero lost: both arms replay the workload
+/// once, so the server must count exactly twice the client-side verb totals,
+/// in its counters and in its latency histograms.
+fn scrape_accounting(gate: &mut Gate<'_>, base: &Value, cur: &Value, at: &str) -> Verdict {
+    let (bfile, cfile) = (gate.args.baseline.as_str(), gate.args.current.as_str());
+    let names = |doc: &Value, file: &str| match doc.get("counters") {
+        Some(Value::Object(fields)) => Ok(fields.iter().map(|(k, _)| k.clone()).collect()),
+        _ => Err(format!("{file}: {at}.counters is not an object")),
+    };
+    let (base_names, cur_names): (BTreeSet<String>, BTreeSet<String>) =
+        (names(base, bfile)?, names(cur, cfile)?);
+    println!("{at}.counters: {} names (compared exactly)", base_names.len());
+    for name in base_names.difference(&cur_names) {
+        gate.fail(format!("{at}.counters.{name} vanished from the current run"));
+    }
+    for name in cur_names.difference(&base_names) {
+        gate.fail(format!("{at}.counters.{name} appeared without a baseline"));
+    }
+    let (counters, verbs) = (field(cur, "counters", cfile, at)?, field(cur, "verbs", cfile, at)?);
+    for verb in ["decompose", "synthesize"] {
+        let sent = 2.0 * number(gate.current, verb, cfile, "")?;
+        let hist = field(verbs, verb, cfile, &join(at, "verbs"))?;
+        let hist_at = format!("{at}.verbs.{verb}");
+        for (path, n) in [
+            (
+                format!("{at}.counters.server.{verb}"),
+                number(counters, &format!("server.{verb}"), cfile, at)?,
+            ),
+            (format!("{hist_at}.count"), number(hist, "count", cfile, &hist_at)?),
+        ] {
+            if n != sent {
+                gate.fail(format!("{path} is {n}, the two arms sent {sent}"));
+            }
+        }
+        let (p50, p99) =
+            (number(hist, "p50_ms", cfile, &hist_at)?, number(hist, "p99_ms", cfile, &hist_at)?);
+        if p50 > p99 {
+            gate.fail(format!("{hist_at}.p50_ms {p50} exceeds its p99 {p99}"));
+        }
+    }
+    Ok(())
+}
+
+/// The interpreter's state: the command line, the whole current document
+/// (for checks that relate a block to the workload) and the failures so far.
+struct Gate<'a> {
+    args: &'a Args,
+    current: &'a Value,
+    failures: Vec<String>,
+}
+
+impl Gate<'_> {
+    fn fail(&mut self, message: String) {
+        self.failures.push(message);
+    }
+
+    /// Runs `checks` on a (sub)document pair found at dotted path `at`.
+    fn run(&mut self, checks: &[Check], base: &Value, cur: &Value, at: &str) -> Verdict {
+        let (bfile, cfile, tol) =
+            (self.args.baseline.as_str(), self.args.current.as_str(), self.args.tolerance);
+        for check in checks {
+            match *check {
+                Same(keys) => {
+                    for &key in keys {
+                        let (b, c) = (field(base, key, bfile, at)?, field(cur, key, cfile, at)?);
+                        if !same(b, c) {
+                            let path = join(at, key);
+                            self.fail(format!("{path} differs: baseline {b} vs current {c}"));
+                        }
+                    }
+                }
+                Zero(keys) | True(keys) => {
+                    let want =
+                        if matches!(check, Zero(_)) { Value::Num(0.0) } else { Value::Bool(true) };
+                    for &key in keys {
+                        let c = field(cur, key, cfile, at)?;
+                        if *c != want {
+                            self.fail(format!("{} is {c}, must be {want}", join(at, key)));
+                        }
+                    }
+                }
+                Equal(key, other) => {
+                    let (c, o) = (field(cur, key, cfile, at)?, field(cur, other, cfile, at)?);
+                    if !same(c, o) {
+                        let (path, other) = (join(at, key), join(at, other));
+                        self.fail(format!("{path} is {c}, must equal {other} {o}"));
+                    }
+                }
+                Floor(key) | NodeCeiling(key) | PointsFloor(key) | AbsCeiling(key)
+                | LatencyCeiling(key) => {
+                    let optional = matches!(check, NodeCeiling(_) | LatencyCeiling(_));
+                    if optional && base.get(key).and_then(Value::as_f64).unwrap_or(0.0) <= 0.0 {
+                        continue;
+                    }
+                    let b = number(base, key, bfile, at)?;
+                    let (limit, is_floor) = match check {
+                        Floor(_) => ((b * (1.0 - tol)).max(1.0), true),
+                        NodeCeiling(_) => ((b * (1.0 + NODE_TOLERANCE)).floor(), false),
+                        PointsFloor(_) => (b - 0.05, true),
+                        AbsCeiling(_) => (1.0 + tol, false),
+                        _ => (b * (1.0 + 4.0 * tol), false),
+                    };
+                    let c = number(cur, key, cfile, at)?;
+                    let (bound, ok) =
+                        if is_floor { ("floor", c >= limit) } else { ("ceiling", c <= limit) };
+                    let path = join(at, key);
+                    println!("{path}: baseline {b}, current {c} ({bound} {limit:.3})");
+                    if !ok {
+                        self.fail(format!(
+                            "{path} regressed: {c} is past the {bound} {limit:.3} \
+                             (baseline {b}, tolerance {tol})"
+                        ));
+                    }
+                }
+                Rows(array, key, checks) => {
+                    let (base_rows, cur_rows) =
+                        (rows(base, array, bfile, at)?, rows(cur, array, cfile, at)?);
+                    let id = |row: &Value| {
+                        let parts: Vec<String> =
+                            key.iter().map(|k| row.get(k).map_or("?".into(), plain)).collect();
+                        parts.join("@")
+                    };
+                    let path = join(at, array);
+                    for base_row in base_rows {
+                        let row_path = format!("{path}[{}]", id(base_row));
+                        match cur_rows.iter().find(|r| id(r) == id(base_row)) {
+                            Some(cur_row) => self.run(checks, base_row, cur_row, &row_path)?,
+                            None => self.fail(format!("{row_path} missing from the current run")),
+                        }
+                    }
+                    let (n, base_n) = (cur_rows.len(), base_rows.len());
+                    if n != base_n {
+                        self.fail(format!("{path} has {n} rows, the baseline {base_n}"));
+                    }
+                }
+                Block(key, checks) => {
+                    if let Some(b) = base.get(key) {
+                        self.run(checks, b, field(cur, key, cfile, at)?, &join(at, key))?;
+                    }
+                }
+                Info(keys) => {
+                    for &key in keys {
+                        let (b, c) = (field(base, key, bfile, at)?, field(cur, key, cfile, at)?);
+                        println!("{}: baseline {b}, current {c} (reported only)", join(at, key));
+                    }
+                }
+                Func(check) => check(self, base, cur, at)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+fn same(b: &Value, c: &Value) -> bool {
+    match (b, c) {
+        (Value::Num(b), Value::Num(c)) => (b - c).abs() <= 1e-6,
+        _ => b == c,
+    }
+}
+
+/// A row key part: strings without their quotes.
+fn plain(v: &Value) -> String {
+    v.as_str().map_or_else(|| v.to_string(), str::to_string)
+}
+
+fn join(at: &str, key: &str) -> String {
+    if at.is_empty() {
+        key.to_string()
+    } else {
+        format!("{at}.{key}")
+    }
+}
+
+fn field<'v>(doc: &'v Value, key: &str, file: &str, at: &str) -> Result<&'v Value, String> {
+    doc.get(key).ok_or_else(|| format!("{file}: missing field {}", join(at, key)))
+}
+
+fn number(doc: &Value, key: &str, file: &str, at: &str) -> Result<f64, String> {
+    field(doc, key, file, at)?
+        .as_f64()
+        .ok_or_else(|| format!("{file}: {} is not a number", join(at, key)))
+}
+
+fn rows<'v>(doc: &'v Value, key: &str, file: &str, at: &str) -> Result<&'v [Value], String> {
+    field(doc, key, file, at)?
+        .as_array()
+        .ok_or_else(|| format!("{file}: {} is not an array", join(at, key)))
+}
 
 struct Args {
     baseline: String,
     current: String,
     tolerance: f64,
-    node_tolerance: f64,
 }
 
 /// Exits with code 2 on any unknown flag, missing value or unparsable
@@ -124,7 +457,6 @@ fn parse_args() -> Args {
         baseline: "BENCH_baseline.json".to_string(),
         current: "BENCH_sweep.json".to_string(),
         tolerance: 0.75,
-        node_tolerance: 0.05,
     };
     let mut argv = ArgCursor::from_env("regress");
     while let Some(flag) = argv.next_flag() {
@@ -132,7 +464,6 @@ fn parse_args() -> Args {
             "--baseline" => args.baseline = argv.value(&flag),
             "--current" => args.current = argv.value(&flag),
             "--tolerance" => args.tolerance = argv.float(&flag),
-            "--node-tolerance" => args.node_tolerance = argv.float(&flag),
             other => argv.fail(format_args!("unknown argument {other}")),
         }
     }
@@ -144,782 +475,28 @@ fn load(path: &str) -> Result<Value, String> {
     Value::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-/// Extracts a named u64 field, with a readable error.
-fn u64_field(doc: &Value, key: &str, path: &str) -> Result<u64, String> {
-    doc.get(key).and_then(Value::as_u64).ok_or_else(|| format!("{path}: missing field '{key}'"))
-}
-
-fn f64_field(doc: &Value, key: &str, path: &str) -> Result<f64, String> {
-    doc.get(key).and_then(Value::as_f64).ok_or_else(|| format!("{path}: missing field '{key}'"))
-}
-
-fn run(args: &Args) -> Result<Vec<String>, String> {
-    let baseline = load(&args.baseline)?;
-    let current = load(&args.current)?;
-
-    let schema_of = |doc: &Value, path: &str| {
-        doc.get("schema")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{path}: missing schema field"))
-    };
-    let base_schema = schema_of(&baseline, &args.baseline)?;
-    let cur_schema = schema_of(&current, &args.current)?;
+/// The failures of `current` against `baseline` under the schema's gates.
+fn compare(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
+    let base_schema = field(baseline, "schema", &args.baseline, "")?;
+    let cur_schema = field(current, "schema", &args.current, "")?;
     if base_schema != cur_schema {
         return Err(format!("schema mismatch: baseline is {base_schema}, current is {cur_schema}"));
     }
-    match base_schema.as_str() {
-        "bidecomp-sweep-v1" => run_sweep(args, &baseline, &current),
-        "bidecomp-bdd-scaling-v1" => run_scaling(args, &baseline, &current),
-        "bidecomp-synth-v1" => run_synth(args, &baseline, &current),
-        "bidecomp-service-v1" => run_service(args, &baseline, &current),
-        "bidecomp-service-chaos-v1" => run_service_chaos(args, &baseline, &current),
-        "bidecomp-oracle-v1" => run_oracle(args, &baseline, &current),
-        "bidecomp-obs-overhead-v1" => run_obs_overhead(args, &baseline, &current),
-        other => Err(format!("{}: unknown schema '{other}'", args.baseline)),
-    }
-}
-
-/// The oracle-schema gate: a `bidecomp-oracle-v1` document is fully
-/// deterministic (seeded corpus, seeded divisors, complete SAT solver), so
-/// the workload shape and the divisor-verdict split are compared exactly;
-/// on top of that the current run must report **zero** three-way
-/// disagreements and a fully effective tamper self-check. `--tolerance` is
-/// ignored; `wall_ms` is reported, never compared.
-fn run_oracle(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-
-    for key in [
-        "seed",
-        "cases",
-        "min_vars",
-        "max_vars",
-        "ops",
-        "checks",
-        "valid_divisors",
-        "invalid_divisors",
-        "tamper_checks",
-    ] {
-        let b = u64_field(baseline, key, &args.baseline)?;
-        let c = u64_field(current, key, &args.current)?;
-        if b != c {
-            failures.push(format!("{key} differs: baseline {b} vs current {c}"));
-        }
-    }
-    let disagreements = u64_field(current, "disagreements", &args.current)?;
-    if disagreements != 0 {
-        failures.push(format!("{disagreements} three-way disagreement(s) between the judges"));
-    }
-    match current.get("tamper_rejected").and_then(Value::as_bool) {
-        Some(true) => {}
-        other => failures.push(format!(
-            "tamper self-check was not fully effective (tamper_rejected = {other:?})"
-        )),
-    }
-    println!(
-        "oracle fuzz: {} lockstep checks, {} disagreement(s), {} tamper checks \
-         (first failed lemma: {})",
-        u64_field(current, "checks", &args.current)?,
-        disagreements,
-        u64_field(current, "tamper_checks", &args.current)?,
-        current.get("tamper_lemma").and_then(Value::as_str).unwrap_or("none"),
-    );
-    let base_ms = f64_field(baseline, "wall_ms", &args.baseline)?;
-    let cur_ms = f64_field(current, "wall_ms", &args.current)?;
-    println!(
-        "fuzz wall time: baseline {base_ms:.1} ms, current {cur_ms:.1} ms \
-         (informational; hosts differ)"
-    );
-
-    Ok(failures)
-}
-
-fn run_sweep(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-
-    // --- Semantic comparison (exact) ---
-    let base_suite = baseline.get("suite").and_then(Value::as_str).unwrap_or("?");
-    let cur_suite = current.get("suite").and_then(Value::as_str).unwrap_or("?");
-    if base_suite != cur_suite {
-        failures.push(format!("suite differs: baseline '{base_suite}' vs current '{cur_suite}'"));
-    }
-    for key in ["jobs", "verified", "maximal"] {
-        let b = u64_field(baseline, key, &args.baseline)?;
-        let c = u64_field(current, key, &args.current)?;
-        if b != c {
-            failures.push(format!("{key} differs: baseline {b} vs current {c}"));
-        }
-    }
-
-    let base_ops = baseline
-        .get("operators")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{}: missing operators array", args.baseline))?;
-    let cur_ops = current
-        .get("operators")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{}: missing operators array", args.current))?;
-    for base_op in base_ops {
-        let name = base_op.get("op").and_then(Value::as_str).unwrap_or("?");
-        let Some(cur_op) =
-            cur_ops.iter().find(|o| o.get("op").and_then(Value::as_str) == Some(name))
-        else {
-            failures.push(format!("operator {name} missing from current run"));
-            continue;
-        };
-        for key in ["jobs", "verified", "maximal", "on_minterms", "dc_minterms", "divisor_errors"] {
-            let b = u64_field(base_op, key, &args.baseline)?;
-            let c = u64_field(cur_op, key, &args.current)?;
-            if b != c {
-                failures.push(format!("{name}.{key} differs: baseline {b} vs current {c}"));
-            }
-        }
-    }
-    if cur_ops.len() != base_ops.len() {
-        failures.push(format!(
-            "operator count differs: baseline {} vs current {}",
-            base_ops.len(),
-            cur_ops.len()
-        ));
-    }
-
-    // --- Peak BDD node ceiling (deterministic; small headroom only) ---
-    // Only gated when the baseline records a positive peak: the dense
-    // sweep's baseline predates the field and its jobs never touch a BDD
-    // manager, so the gate is specific to the symbolic sweep.
-    if let Some(base_peak) = baseline.get("peak_bdd_nodes").and_then(Value::as_u64) {
-        if base_peak > 0 {
-            let cur_peak = u64_field(current, "peak_bdd_nodes", &args.current)?;
-            let ceiling = (base_peak as f64 * (1.0 + args.node_tolerance)).floor() as u64;
-            println!(
-                "peak live BDD nodes: baseline {base_peak}, current {cur_peak} \
-                 (ceiling {ceiling}, node tolerance {})",
-                args.node_tolerance
-            );
-            if cur_peak > ceiling {
-                failures.push(format!(
-                    "peak node regression: {cur_peak} live BDD nodes exceeds the ceiling \
-                     {ceiling} (baseline {base_peak}, node tolerance {})",
-                    args.node_tolerance
-                ));
-            }
-        }
-    }
-
-    // --- Performance comparison (tolerance band) ---
-    let base_speedup = f64_field(baseline, "speedup", &args.baseline)?;
-    let cur_speedup = f64_field(current, "speedup", &args.current)?;
-    let floor = (base_speedup * (1.0 - args.tolerance)).max(1.0);
-    println!(
-        "speedup over the sequential/allocating path: baseline {base_speedup:.2}x, \
-         current {cur_speedup:.2}x (floor {floor:.2}x, tolerance {})",
-        args.tolerance
-    );
-    if cur_speedup < floor {
-        failures.push(format!(
-            "performance regression: speedup {cur_speedup:.2}x fell below the floor {floor:.2}x \
-             (baseline {base_speedup:.2}x, tolerance {})",
-            args.tolerance
-        ));
-    }
-    let base_ms = f64_field(baseline, "engine_wall_ms", &args.baseline)?;
-    let cur_ms = f64_field(current, "engine_wall_ms", &args.current)?;
-    println!(
-        "engine wall time: baseline {base_ms:.1} ms, current {cur_ms:.1} ms \
-         (informational; hosts differ)"
-    );
-
-    // --- Thread-scaling arm (gated when the baseline carries one) ---
-    if let Some(base_scaling) = baseline.get("scaling") {
-        let cur_scaling = current
-            .get("scaling")
-            .ok_or_else(|| format!("{}: missing scaling block", args.current))?;
-        gate_scaling(args, base_scaling, cur_scaling, &mut failures)?;
-    }
-
-    Ok(failures)
-}
-
-/// The standalone thread-scaling gate (`bidecomp-bdd-scaling-v1`, produced
-/// by `bdd_sweep --scaling-only`): the suite plus everything
-/// [`gate_scaling`] checks.
-fn run_scaling(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    let base_suite = baseline.get("suite").and_then(Value::as_str).unwrap_or("?");
-    let cur_suite = current.get("suite").and_then(Value::as_str).unwrap_or("?");
-    if base_suite != cur_suite {
-        failures.push(format!("suite differs: baseline '{base_suite}' vs current '{cur_suite}'"));
-    }
-    gate_scaling(args, baseline, current, &mut failures)?;
-    Ok(failures)
-}
-
-/// The thread-scaling checks shared by the sweep document's `scaling` block
-/// and the standalone scaling schema (identical fields).
-///
-/// Exact: job count, the `(backend, threads)` row set, and the semantic
-/// fingerprint — `bdd_sweep` refuses to emit rows whose per-run fingerprints
-/// disagree across thread counts, so the document's one fingerprint
-/// matching the baseline pins every row == history. Ceilinged: the peak
-/// node count under `--node-tolerance` headroom.
-/// Host-aware (wall-clock scaling only exists where hardware parallelism
-/// does, so these engage by the *current* run's `host_threads`): with 2+
-/// hardware threads the `bdd` rows' speedup over their own 1-thread row
-/// must improve monotonically over 1/2/4 threads within the tolerance band
-/// and exceed 1.0 at the largest of those counts; with 4+ the 8-thread
-/// speedup must also hold `max(1.0, speedup(4) × (1 − tolerance))`.
-fn gate_scaling(
-    args: &Args,
-    baseline: &Value,
-    current: &Value,
-    failures: &mut Vec<String>,
-) -> Result<(), String> {
-    let base_jobs = u64_field(baseline, "jobs", &args.baseline)?;
-    let cur_jobs = u64_field(current, "jobs", &args.current)?;
-    if base_jobs != cur_jobs {
-        failures.push(format!("scaling jobs differ: baseline {base_jobs} vs current {cur_jobs}"));
-    }
-    let fp_of = |doc: &Value, path: &str| {
-        doc.get("semantic_fp")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{path}: missing semantic_fp"))
-    };
-    let base_fp = fp_of(baseline, &args.baseline)?;
-    let cur_fp = fp_of(current, &args.current)?;
-    println!("scaling semantic fingerprint: baseline {base_fp}, current {cur_fp} (exact)");
-    if base_fp != cur_fp {
-        failures.push(format!(
-            "scaling semantics drifted: fingerprint {cur_fp} vs baseline {base_fp} \
-             (quotients or verdicts changed)"
-        ));
-    }
-
-    let key = "private_peak_nodes";
-    let base_peak = u64_field(baseline, key, &args.baseline)?;
-    let cur_peak = u64_field(current, key, &args.current)?;
-    let ceiling = (base_peak as f64 * (1.0 + args.node_tolerance)).floor() as u64;
-    println!(
-        "scaling {key}: baseline {base_peak}, current {cur_peak} (ceiling {ceiling}, \
-         node tolerance {})",
-        args.node_tolerance
-    );
-    if cur_peak > ceiling {
-        failures.push(format!(
-            "scaling {key} regression: {cur_peak} exceeds the ceiling {ceiling} \
-             (baseline {base_peak})"
-        ));
-    }
-
-    fn rows_of<'a>(doc: &'a Value, path: &str) -> Result<&'a [Value], String> {
-        doc.get("rows")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("{path}: missing scaling rows"))
-    }
-    let base_rows = rows_of(baseline, &args.baseline)?;
-    let cur_rows = rows_of(current, &args.current)?;
-    let key_of = |r: &Value| {
-        (
-            r.get("backend").and_then(Value::as_str).unwrap_or("?").to_string(),
-            r.get("threads").and_then(Value::as_u64).unwrap_or(u64::MAX),
-        )
-    };
-    for base_row in base_rows {
-        let (backend, threads) = key_of(base_row);
-        if !cur_rows.iter().any(|r| key_of(r) == (backend.clone(), threads)) {
-            failures.push(format!("scaling row {backend}@{threads}t missing from current run"));
-        }
-    }
-    if cur_rows.len() != base_rows.len() {
-        failures.push(format!(
-            "scaling row count differs: baseline {} vs current {}",
-            base_rows.len(),
-            cur_rows.len()
-        ));
-    }
-
-    // `bdd` speedups over its own 1-thread row, from the current run only:
-    // the ratio depends on the measuring host's core count, so it is never
-    // compared against the baseline's.
-    let mut walls: Vec<(u64, f64)> = Vec::new();
-    for row in cur_rows {
-        let (backend, threads) = key_of(row);
-        if backend == "bdd" {
-            walls.push((threads, f64_field(row, "wall_ms", &args.current)?));
-        }
-    }
-    walls.sort_by_key(|&(threads, _)| threads);
-    let Some(&(1, base_wall)) = walls.first() else {
-        return Err(format!("{}: scaling rows lack a 1-thread bdd row", args.current));
-    };
-    let speedup_at = |threads: u64| {
-        walls
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, wall)| base_wall / wall.max(f64::MIN_POSITIVE))
-    };
-    let host = u64_field(current, "host_threads", &args.current)?;
-    let summary: Vec<String> =
-        walls.iter().filter_map(|&(t, _)| speedup_at(t).map(|s| format!("{s:.2}x@{t}t"))).collect();
-    println!("bdd thread scaling on a {host}-hardware-thread host: {}", summary.join(" "));
-    if host < 2 {
-        println!("scaling speedups: reported only (host has no hardware parallelism)");
-        return Ok(());
-    }
-    let gated: Vec<u64> = [1, 2, 4].into_iter().filter(|&t| speedup_at(t).is_some()).collect();
-    for pair in gated.windows(2) {
-        let (prev, next) = (pair[0], pair[1]);
-        let (s_prev, s_next) = (speedup_at(prev).unwrap(), speedup_at(next).unwrap());
-        let floor = s_prev * (1.0 - args.tolerance);
-        if s_next < floor {
-            failures.push(format!(
-                "scaling regression: {s_next:.2}x at {next} threads fell below the banded \
-                 {s_prev:.2}x at {prev} threads (floor {floor:.2}x, tolerance {})",
-                args.tolerance
-            ));
-        }
-    }
-    if let Some(&top) = gated.last() {
-        let s_top = speedup_at(top).unwrap();
-        if top > 1 && s_top < 1.0 {
-            failures.push(format!(
-                "scaling regression: {s_top:.2}x at {top} threads — threading must beat the \
-                 1-thread run on a {host}-hardware-thread host"
-            ));
-        }
-    }
-    if host >= 4 {
-        if let (Some(s4), Some(s8)) = (speedup_at(4), speedup_at(8)) {
-            let floor = (s4 * (1.0 - args.tolerance)).max(1.0);
-            if s8 < floor {
-                failures.push(format!(
-                    "scaling regression: 8-thread speedup {s8:.2}x fell below the floor \
-                     {floor:.2}x (4-thread {s4:.2}x, tolerance {})",
-                    args.tolerance
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The synth-schema gate: everything in a `bidecomp-synth-v1` document
-/// except the wall time is deterministic, so the comparison is exact —
-/// aggregate counters bit for bit, areas within 1e-6 (decimal-text
-/// round-tripping only), one row per `(instance, output)`.
-fn run_synth(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-
-    let base_suite = baseline.get("suite").and_then(Value::as_str).unwrap_or("?");
-    let cur_suite = current.get("suite").and_then(Value::as_str).unwrap_or("?");
-    if base_suite != cur_suite {
-        failures.push(format!("suite differs: baseline '{base_suite}' vs current '{cur_suite}'"));
-    }
-    for key in ["jobs", "verified", "total_gates", "total_branches"] {
-        let b = u64_field(baseline, key, &args.baseline)?;
-        let c = u64_field(current, key, &args.current)?;
-        if b != c {
-            failures.push(format!("{key} differs: baseline {b} vs current {c}"));
-        }
-    }
-    let base_gain = f64_field(baseline, "average_gain_percent", &args.baseline)?;
-    let cur_gain = f64_field(current, "average_gain_percent", &args.current)?;
-    println!(
-        "average mapped-area gain over flat 2-SPP: baseline {base_gain:.3}%, \
-         current {cur_gain:.3}% (deterministic; compared exactly)"
-    );
-    if (base_gain - cur_gain).abs() > 1e-6 {
-        failures.push(format!(
-            "average_gain_percent differs: baseline {base_gain} vs current {cur_gain}"
-        ));
-    }
-
-    let base_rows = baseline
-        .get("instances")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{}: missing instances array", args.baseline))?;
-    let cur_rows = current
-        .get("instances")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{}: missing instances array", args.current))?;
-    for base_row in base_rows {
-        let name = base_row.get("instance").and_then(Value::as_str).unwrap_or("?");
-        let output = base_row.get("output").and_then(Value::as_u64).unwrap_or(u64::MAX);
-        let Some(cur_row) = cur_rows.iter().find(|r| {
-            r.get("instance").and_then(Value::as_str) == Some(name)
-                && r.get("output").and_then(Value::as_u64) == Some(output)
-        }) else {
-            failures.push(format!("{name}[{output}] missing from current run"));
-            continue;
-        };
-        for key in ["num_vars", "gates", "depth", "branches"] {
-            let b = u64_field(base_row, key, &args.baseline)?;
-            let c = u64_field(cur_row, key, &args.current)?;
-            if b != c {
-                failures.push(format!("{name}[{output}].{key}: baseline {b} vs current {c}"));
-            }
-        }
-        for key in ["mapped_area", "flat_area", "gain_percent"] {
-            let b = f64_field(base_row, key, &args.baseline)?;
-            let c = f64_field(cur_row, key, &args.current)?;
-            if (b - c).abs() > 1e-6 {
-                failures.push(format!("{name}[{output}].{key}: baseline {b} vs current {c}"));
-            }
-        }
-        let b = base_row.get("verified").and_then(Value::as_bool);
-        let c = cur_row.get("verified").and_then(Value::as_bool);
-        if b != c {
-            failures.push(format!("{name}[{output}].verified: baseline {b:?} vs current {c:?}"));
-        }
-    }
-    if cur_rows.len() != base_rows.len() {
-        failures.push(format!(
-            "instance-row count differs: baseline {} vs current {}",
-            base_rows.len(),
-            cur_rows.len()
-        ));
-    }
-
-    let base_ms = f64_field(baseline, "wall_ms", &args.baseline)?;
-    let cur_ms = f64_field(current, "wall_ms", &args.current)?;
-    println!(
-        "synthesis wall time: baseline {base_ms:.1} ms, current {cur_ms:.1} ms \
-         (informational; hosts differ)"
-    );
-
-    Ok(failures)
-}
-
-/// The service-schema gate: exact on the seeded workload shape and the
-/// zero-error requirement, tolerance-banded on the measured cache effect.
-fn run_service(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-
-    for key in ["requests", "synthesize", "decompose", "connections", "num_vars", "bases"] {
-        let b = u64_field(baseline, key, &args.baseline)?;
-        let c = u64_field(current, key, &args.current)?;
-        if b != c {
-            failures.push(format!("{key} differs: baseline {b} vs current {c}"));
-        }
-    }
-    let errors = u64_field(current, "errors", &args.current)?;
-    if errors != 0 {
-        failures.push(format!("{errors} responses were not ok/verified"));
-    }
-
-    let base_speedup = f64_field(baseline, "speedup", &args.baseline)?;
-    let cur_speedup = f64_field(current, "speedup", &args.current)?;
-    let floor = (base_speedup * (1.0 - args.tolerance)).max(1.0);
-    println!(
-        "cached-over-cold throughput: baseline {base_speedup:.2}x, current {cur_speedup:.2}x \
-         (floor {floor:.2}x, tolerance {})",
-        args.tolerance
-    );
-    if cur_speedup < floor {
-        failures.push(format!(
-            "cache speedup regression: {cur_speedup:.2}x fell below the floor {floor:.2}x \
-             (baseline {base_speedup:.2}x, tolerance {})",
-            args.tolerance
-        ));
-    }
-
-    let base_hit_rate = f64_field(baseline, "hit_rate", &args.baseline)?;
-    let cur_hit_rate = f64_field(current, "hit_rate", &args.current)?;
-    println!(
-        "cached-arm hit rate: baseline {:.1}%, current {:.1}% (floor {:.1}%)",
-        base_hit_rate * 100.0,
-        cur_hit_rate * 100.0,
-        (base_hit_rate - 0.05) * 100.0
-    );
-    if cur_hit_rate < base_hit_rate - 0.05 {
-        failures.push(format!(
-            "hit-rate regression: {:.3} fell more than 5 points below the baseline {:.3}",
-            cur_hit_rate, base_hit_rate
-        ));
-    }
-
-    for arm in ["cold", "cached"] {
-        let b = baseline.get(arm).ok_or_else(|| format!("{}: missing {arm} arm", args.baseline))?;
-        let c = current.get(arm).ok_or_else(|| format!("{}: missing {arm} arm", args.current))?;
-        println!(
-            "{arm} arm: baseline p50 {:.2} ms / p99 {:.2} ms, current p50 {:.2} ms / \
-             p99 {:.2} ms (informational; hosts differ)",
-            f64_field(b, "p50_ms", &args.baseline)?,
-            f64_field(b, "p99_ms", &args.baseline)?,
-            f64_field(c, "p50_ms", &args.current)?,
-            f64_field(c, "p99_ms", &args.current)?,
-        );
-    }
-
-    // --- Robustness counters (exact when the baseline carries them) ---
-    // A happy-path load run must not shed, time out, panic or reject: the
-    // baseline records all-zero counters, and any non-zero drift means the
-    // admission control or panic isolation misfired on a clean workload.
-    if let Some(base_rob) = baseline.get("robustness") {
-        let cur_rob = current
-            .get("robustness")
-            .ok_or_else(|| format!("{}: missing robustness block", args.current))?;
-        for key in [
-            "sheds",
-            "timeouts",
-            "panics",
-            "rejected_connections",
-            "slow_clients",
-            "line_overflows",
-        ] {
-            let b = u64_field(base_rob, key, &args.baseline)?;
-            let c = u64_field(cur_rob, key, &args.current)?;
-            if b != c {
-                failures.push(format!("robustness.{key} differs: baseline {b} vs current {c}"));
-            }
-        }
-        println!("robustness counters: compared exactly (clean run must stay clean)");
-    }
-
-    // --- Server-side observability scrape (gated when the baseline carries
-    // one) --- the `metrics` verb's view of the same run: the counter name
-    // set is pinned exactly (instrumentation must not silently appear or
-    // vanish), zero panics, and — both arms replaying the same workload —
-    // the server must have counted exactly twice the client-side verb
-    // totals, or a request was lost or double-counted somewhere between
-    // admission and reply.
-    if let Some(base_scrape) = baseline.get("scrape") {
-        let cur_scrape = current
-            .get("scrape")
-            .ok_or_else(|| format!("{}: missing scrape block", args.current))?;
-        gate_scrape(args, current, base_scrape, cur_scrape, &mut failures)?;
-    }
-
-    Ok(failures)
-}
-
-/// The scrape-block checks of the service gate (see [`run_service`]).
-fn gate_scrape(
-    args: &Args,
-    current: &Value,
-    base_scrape: &Value,
-    cur_scrape: &Value,
-    failures: &mut Vec<String>,
-) -> Result<(), String> {
-    let schema = cur_scrape.get("schema").and_then(Value::as_str);
-    if schema != Some("bidecomp-metrics-v1") {
-        failures.push(format!("scrape schema is {schema:?}, expected bidecomp-metrics-v1"));
-    }
-    let names_of = |scrape: &Value, path: &str| -> Result<Vec<String>, String> {
-        match scrape.get("counters") {
-            Some(Value::Object(fields)) => {
-                Ok(fields.iter().map(|(name, _)| name.clone()).collect())
-            }
-            _ => Err(format!("{path}: scrape block lacks a counters object")),
-        }
-    };
-    let base_names = names_of(base_scrape, &args.baseline)?;
-    let cur_names = names_of(cur_scrape, &args.current)?;
-    println!("scrape counter name set: {} names (compared exactly)", base_names.len());
-    if base_names != cur_names {
-        for name in &base_names {
-            if !cur_names.contains(name) {
-                failures.push(format!("scrape counter '{name}' vanished from the current run"));
-            }
-        }
-        for name in &cur_names {
-            if !base_names.contains(name) {
-                failures.push(format!("scrape counter '{name}' appeared without a baseline"));
-            }
-        }
-    }
-    let counter = |scrape: &Value, name: &str, path: &str| -> Result<u64, String> {
-        scrape
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{path}: scrape block lacks the counter '{name}'"))
-    };
-    let panics = counter(cur_scrape, "server.panics", &args.current)?;
-    if panics != 0 {
-        failures.push(format!("server counted {panics} panic(s) during a happy-path run"));
-    }
-
-    // Zero-lost accounting: cold + cached arms each replay the workload once.
-    for (verb, counter_name, workload_key) in [
-        ("decompose", "server.decompose", "decompose"),
-        ("synthesize", "server.synthesize", "synthesize"),
-    ] {
-        let expected = 2 * u64_field(current, workload_key, &args.current)?;
-        let counted = counter(cur_scrape, counter_name, &args.current)?;
-        if counted != expected {
-            failures.push(format!(
-                "server counted {counted} {verb} request(s), the two arms sent {expected}"
-            ));
-        }
-        let hist = |scrape: &Value, path: &str| -> Result<Value, String> {
-            scrape
-                .get("verbs")
-                .and_then(|v| v.get(verb))
-                .cloned()
-                .ok_or_else(|| format!("{path}: scrape block lacks the {verb} verb"))
-        };
-        let cur_verb = hist(cur_scrape, &args.current)?;
-        let observed = u64_field(&cur_verb, "count", &args.current)?;
-        if observed != expected {
-            failures.push(format!(
-                "server-side {verb} latency histogram holds {observed} sample(s), \
-                 the two arms sent {expected}"
-            ));
-        }
-        let (p50, p99) = (
-            f64_field(&cur_verb, "p50_ms", &args.current)?,
-            f64_field(&cur_verb, "p99_ms", &args.current)?,
-        );
-        if p50 > p99 {
-            failures.push(format!("server-side {verb} p50 {p50} ms exceeds its p99 {p99} ms"));
-        }
-        // Server-side latency ceiling: absolute latencies vary across hosts
-        // far more than same-process ratios do, so the band is deliberately
-        // wide — 4× the ratio tolerance — and only catches order-of-magnitude
-        // regressions (a lock suddenly serializing the drain loop).
-        let base_verb = hist(base_scrape, &args.baseline)?;
-        let base_p99 = f64_field(&base_verb, "p99_ms", &args.baseline)?;
-        let ceiling = base_p99 * (1.0 + 4.0 * args.tolerance);
-        println!(
-            "server-side {verb} latency: baseline p50 {:.2} ms / p99 {base_p99:.2} ms, \
-             current p50 {p50:.2} ms / p99 {p99:.2} ms (ceiling {ceiling:.2} ms)",
-            f64_field(&base_verb, "p50_ms", &args.baseline)?,
-        );
-        if base_p99 > 0.0 && p99 > ceiling {
-            failures.push(format!(
-                "server-side {verb} p99 regression: {p99:.2} ms exceeds the ceiling \
-                 {ceiling:.2} ms (baseline {base_p99:.2} ms, 4 x tolerance {})",
-                args.tolerance
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The obs-overhead gate: the observability layer's cost, measured by the
-/// `obs_overhead` binary as a same-process min-of-reps wall ratio, must stay
-/// at or under `1 + tolerance`. The ratio is hardware-independent, so the
-/// ceiling is absolute rather than relative to the baseline's own ratio —
-/// the committed baseline documents the expected suite/job shape and a
-/// healthy reference ratio.
-fn run_obs_overhead(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-
-    let base_suite = baseline.get("suite").and_then(Value::as_str).unwrap_or("?");
-    let cur_suite = current.get("suite").and_then(Value::as_str).unwrap_or("?");
-    if base_suite != cur_suite {
-        failures.push(format!("suite differs: baseline '{base_suite}' vs current '{cur_suite}'"));
-    }
-    let base_jobs = u64_field(baseline, "jobs", &args.baseline)?;
-    let cur_jobs = u64_field(current, "jobs", &args.current)?;
-    if base_jobs != cur_jobs {
-        failures.push(format!("jobs differ: baseline {base_jobs} vs current {cur_jobs}"));
-    }
-
-    let base_ratio = f64_field(baseline, "overhead_ratio", &args.baseline)?;
-    let cur_ratio = f64_field(current, "overhead_ratio", &args.current)?;
-    let ceiling = 1.0 + args.tolerance;
-    println!(
-        "observability overhead: baseline ratio {base_ratio:.3}, current {cur_ratio:.3} \
-         (ceiling {ceiling:.3}, tolerance {})",
-        args.tolerance
-    );
-    if cur_ratio > ceiling {
-        failures.push(format!(
-            "observability overhead regression: ratio {cur_ratio:.3} exceeds the ceiling \
-             {ceiling:.3} (instrumentation must stay effectively free)"
-        ));
-    }
-    println!(
-        "sweep walls: baseline {:.1}/{:.1} ms off/on, current {:.1}/{:.1} ms \
-         (informational; hosts differ)",
-        u64_field(baseline, "wall_off_micros", &args.baseline)? as f64 / 1000.0,
-        u64_field(baseline, "wall_on_micros", &args.baseline)? as f64 / 1000.0,
-        u64_field(current, "wall_off_micros", &args.current)? as f64 / 1000.0,
-        u64_field(current, "wall_on_micros", &args.current)? as f64 / 1000.0,
-    );
-
-    Ok(failures)
-}
-
-/// The chaos-schema gate: the workload shape and seeded fault rates are
-/// exact, and the correctness contract is absolute — the retrying client
-/// must lose **zero** requests and see **zero** corrupted replies even
-/// while the server is panicking, stalling and dropping connections under
-/// it, and the server must answer a clean recovery burst once the faults
-/// are disarmed. Retry/shed/panic tallies and latencies depend on thread
-/// timing and are reported, never compared; `--tolerance` is ignored.
-fn run_service_chaos(
-    args: &Args,
-    baseline: &Value,
-    current: &Value,
-) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-
-    for key in ["requests", "connections", "num_vars", "bases", "recovery_requests"] {
-        let b = u64_field(baseline, key, &args.baseline)?;
-        let c = u64_field(current, key, &args.current)?;
-        if b != c {
-            failures.push(format!("{key} differs: baseline {b} vs current {c}"));
-        }
-    }
-    let base_faults =
-        baseline.get("faults").ok_or_else(|| format!("{}: missing faults block", args.baseline))?;
-    let cur_faults =
-        current.get("faults").ok_or_else(|| format!("{}: missing faults block", args.current))?;
-    for key in ["panic_per_mille", "delay_per_mille", "delay_ms", "drop_per_mille"] {
-        let b = u64_field(base_faults, key, &args.baseline)?;
-        let c = u64_field(cur_faults, key, &args.current)?;
-        if b != c {
-            failures.push(format!("faults.{key} differs: baseline {b} vs current {c}"));
-        }
-    }
-
-    let requests = u64_field(current, "requests", &args.current)?;
-    let completed = u64_field(current, "completed", &args.current)?;
-    if completed != requests {
-        failures.push(format!("only {completed} of {requests} storm requests completed"));
-    }
-    for key in ["lost", "corrupted", "recovery_errors"] {
-        let n = u64_field(current, key, &args.current)?;
-        if n != 0 {
-            failures.push(format!("{n} {key} response(s) under fault injection"));
-        }
-    }
-    match current.get("recovered").and_then(Value::as_bool) {
-        Some(true) => {}
-        other => failures.push(format!(
-            "server did not recover cleanly after disarming faults (recovered = {other:?})"
-        )),
-    }
-
-    println!(
-        "chaos storm: {completed}/{requests} completed | {} retries ({} overloads, \
-         {} internals, {} reconnects) | server saw {} sheds / {} panics / {} timeouts",
-        u64_field(current, "retries", &args.current)?,
-        u64_field(current, "overloads_seen", &args.current)?,
-        u64_field(current, "internal_seen", &args.current)?,
-        u64_field(current, "reconnects", &args.current)?,
-        current.get("server").and_then(|s| s.get("sheds")).and_then(Value::as_u64).unwrap_or(0),
-        current.get("server").and_then(|s| s.get("panics")).and_then(Value::as_u64).unwrap_or(0),
-        current.get("server").and_then(|s| s.get("timeouts")).and_then(Value::as_u64).unwrap_or(0),
-    );
-    println!(
-        "chaos latency: baseline p50 {:.2} ms / p99 {:.2} ms, current p50 {:.2} ms / \
-         p99 {:.2} ms (informational; hosts differ)",
-        f64_field(baseline, "p50_ms", &args.baseline)?,
-        f64_field(baseline, "p99_ms", &args.baseline)?,
-        f64_field(current, "p50_ms", &args.current)?,
-        f64_field(current, "p99_ms", &args.current)?,
-    );
-
-    Ok(failures)
+    let (_, checks) = GATES
+        .iter()
+        .find(|(name, _)| base_schema.as_str() == Some(name))
+        .ok_or_else(|| format!("{}: unknown schema {base_schema}", args.baseline))?;
+    let mut gate = Gate { args, current, failures: Vec::new() };
+    gate.run(checks, baseline, current, "")?;
+    Ok(gate.failures)
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
-    match run(&args) {
+    let result = load(&args.baseline)
+        .and_then(|baseline| Ok((baseline, load(&args.current)?)))
+        .and_then(|(baseline, current)| compare(&args, &baseline, &current));
+    match result {
         Err(message) => {
             eprintln!("regress: {message}");
             ExitCode::FAILURE
@@ -934,5 +511,39 @@ fn main() -> ExitCode {
             }
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The failures of `baseline` against itself with the first `from` in
+    /// its text replaced by `to`.
+    fn failures(baseline: &str, tolerance: f64, from: &str, to: &str) -> Vec<String> {
+        let base = Value::parse(baseline).unwrap();
+        let cur = Value::parse(&baseline.replacen(from, to, 1)).unwrap();
+        let args = Args { baseline: "base".into(), current: "cur".into(), tolerance };
+        compare(&args, &base, &cur).unwrap()
+    }
+
+    #[test]
+    fn failures_name_their_dotted_field_path() {
+        let bdd = include_str!("../../../../BENCH_bdd_baseline.json");
+        let f = failures(bdd, 0.2, "\"on_minterms\": 1102318841500", "\"on_minterms\": 1");
+        assert!(f[0].starts_with("operators[AND].on_minterms differs"), "{f:?}");
+        let f = failures(bdd, 0.2, "\"threads\": 4", "\"threads\": 5");
+        assert!(f[0].starts_with("scaling.rows[bdd@4] missing"), "{f:?}");
+        let service = include_str!("../../../../BENCH_service_baseline.json");
+        let f = failures(service, 0.35, "\"sheds\": 0", "\"sheds\": 1");
+        assert_eq!(f, ["robustness.sheds differs: baseline 0 vs current 1"]);
+        let f = failures(service, 0.35, "\"cache.hits\"", "\"cache.hitz\"");
+        assert_eq!(
+            f,
+            [
+                "scrape.counters.cache.hits vanished from the current run",
+                "scrape.counters.cache.hitz appeared without a baseline"
+            ]
+        );
     }
 }

@@ -47,9 +47,10 @@
 //!   (`--write-baseline` refreshes `BENCH_oracle_baseline.json`);
 //! * `regress`        — compares a sweep artifact (`BENCH_sweep.json`,
 //!   `BENCH_bdd_sweep.json`, `BENCH_synth.json`, `BENCH_service.json`,
-//!   `BENCH_oracle_fuzz.json` or `BENCH_obs_overhead.json`) against its
-//!   committed baseline and fails on semantic or performance regressions
-//!   (the CI `bench-smoke` and `oracle-fuzz` gates).
+//!   `BENCH_service_chaos.json`, `BENCH_oracle_fuzz.json` or
+//!   `BENCH_obs_overhead.json`) against its committed baseline through one
+//!   declarative per-field gate table and fails on semantic or performance
+//!   regressions (the CI `bench-smoke` and `oracle-fuzz` gates).
 
 use std::time::Instant;
 
