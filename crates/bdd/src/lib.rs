@@ -14,9 +14,10 @@
 //!   function shares all nodes with its complement,
 //! * **dynamic variable ordering**: an in-place adjacent-level swap
 //!   primitive ([`BddManager::swap_adjacent_levels`]), deterministic
-//!   Rudell-style sifting ([`BddManager::sift`], [`BddManager::maybe_sift`],
-//!   tuned via [`SiftConfig`]), and FORCE-style static-order seeding over
-//!   cube covers ([`force_order`] + [`BddManager::set_order`]),
+//!   Rudell-style sifting ([`BddManager::sift`], plus [`BddManager::maybe_sift`]
+//!   armed by [`BddManager::set_sift_threshold`]), and FORCE-style
+//!   static-order seeding over cube covers ([`force_order`] +
+//!   [`BddManager::set_order`]),
 //! * **single-owner manager**: one [`BddManager`] per worker thread, so the
 //!   hot paths take no locks; batch callers recycle it through
 //!   [`BddManager::clear`] between jobs,
@@ -24,19 +25,17 @@
 //!   with strict ROBDD reduction invariants (tombstone-free backward-shift
 //!   deletion, load-factor-driven rehash),
 //! * specialized binary `apply` operations (`and`, `xor`, with `or`, `diff`,
-//!   `nand`, `nor`, `xnor`, `implies` as free complement-edge rewrites) over
-//!   a shared lossy operation cache, plus a memoized general
-//!   [`BddManager::ite`] with complement-normalized keys,
-//! * manager-owned, reusable recursion memos (restriction, quantification,
-//!   counting) and an explicit [`BddManager::reserve`] /
-//!   [`BddManager::clear`] lifecycle for batch reuse,
+//!   `nor`, `xnor` as free complement-edge rewrites) over a shared lossy
+//!   operation cache, plus a memoized general [`BddManager::ite`] with
+//!   complement-normalized keys, and the containment checks
+//!   [`BddManager::is_subset`] / [`BddManager::is_disjoint`],
+//! * a [`BddManager::clear`] lifecycle for batch reuse that keeps every
+//!   table allocated,
 //! * cache, unique-table and reordering statistics ([`CacheStats`]),
-//! * cofactors/restriction, functional composition, existential and universal
-//!   quantification over variable sets,
-//! * model counting ([`BddManager::sat_count`]) and minterm enumeration,
-//! * conversion from/to [`boolfunc::TruthTable`] and [`boolfunc::Cover`],
-//! * Minato–Morreale irredundant SOP extraction ([`BddManager::isop`]),
-//! * Graphviz DOT export (complement edges drawn with dot arrowheads).
+//! * model counting ([`BddManager::sat_count`]),
+//! * conversion from [`boolfunc::TruthTable`] and [`boolfunc::Cover`], and
+//!   back to a dense [`boolfunc::TruthTable`],
+//! * Minato–Morreale irredundant SOP extraction ([`BddManager::isop`]).
 //!
 //! ```rust
 //! use bdd::BddManager;
@@ -57,14 +56,11 @@
 #![warn(missing_docs)]
 
 mod count;
-mod dot;
 mod error;
 mod isop;
 mod manager;
-mod memo;
 mod order;
-mod quant;
 
 pub use error::BddError;
-pub use manager::{Bdd, BddManager, CacheStats, SiftConfig};
+pub use manager::{Bdd, BddManager, CacheStats};
 pub use order::force_order;

@@ -10,16 +10,17 @@
 //! cargo run -p bidecomp-bench --release --bin bdd_sweep -- \
 //!     [--suite large|smoke|table3|table4|all] [--threads N] [--seed N] \
 //!     [--max-inputs N] [--max-outputs N] [--repeat N] [--json PATH] \
-//!     [--reorder] [--no-reorder] [--sift-threshold N] [--write-baseline]
+//!     [--no-reorder] [--sift-threshold N] [--write-baseline]
 //! ```
 //!
 //! Dynamic variable ordering is **on by default** for this bench
 //! (FORCE-seeded static orders plus threshold-triggered sifting at the
-//! bench-tuned [`BENCH_SIFT_THRESHOLD`]): the committed baseline's
-//! `peak_bdd_nodes` is a post-DVO number and the CI gate holds future runs
-//! to it. `--no-reorder` switches back to the identity order (the
-//! pre-DVO behavior); `--sift-threshold N` moves the auto-sift trigger
-//! (0 disables sifting but keeps the static seed).
+//! `ReorderConfig::default()` threshold, 14,336 live nodes): the committed
+//! baseline's `peak_bdd_nodes` is a post-DVO number and the CI gate holds
+//! future runs to it. `--no-reorder` switches back to the identity order
+//! (the pre-DVO behavior); `--sift-threshold N` moves the auto-sift trigger
+//! (0 disables sifting but keeps the static seed) and turns reordering back
+//! on if an earlier `--no-reorder` switched it off.
 //!
 //! As with the dense `sweep` binary, the `speedup` the CI gate consumes is
 //! measured with **both arms at one thread**: the reference arm re-executes
@@ -522,19 +523,6 @@ struct Args {
     repeat: usize,
 }
 
-/// The bench's default auto-sift trigger, tuned on `Suite::large()`: the
-/// engine's general-purpose default (2048) sifts the 32/40-var jobs so often
-/// that cache invalidation dominates (~5x wall time for a further ~2x peak
-/// reduction), while FORCE seeding alone already leaves the peak at ~17k
-/// nodes. This threshold lets sifting fire only inside the genuinely large
-/// jobs — peak 13,444 live nodes (68% below the pre-DVO 42,629) at a wall
-/// time ~5% *under* the pre-DVO baseline.
-const BENCH_SIFT_THRESHOLD: usize = 14336;
-
-fn bench_reorder() -> ReorderConfig {
-    ReorderConfig { sift_threshold: BENCH_SIFT_THRESHOLD, ..ReorderConfig::default() }
-}
-
 /// Exits with code 2 on any unknown flag, missing value or unparsable
 /// number (via [`ArgCursor`]): this binary feeds the CI gate and writes the
 /// committed baseline, so silently falling back to defaults would be worse
@@ -544,7 +532,7 @@ fn parse_args() -> Args {
         suite: "large".to_string(),
         config: EngineConfig {
             backend: Backend::Bdd,
-            reorder: Some(bench_reorder()),
+            reorder: Some(ReorderConfig::default()),
             ..EngineConfig::default()
         },
         json_path: "BENCH_bdd_sweep.json".to_string(),
@@ -561,12 +549,10 @@ fn parse_args() -> Args {
             "--max-outputs" => args.config.max_outputs = argv.number(&flag) as usize,
             "--repeat" => args.repeat = argv.number(&flag) as usize,
             "--json" => args.json_path = argv.value(&flag),
-            "--reorder" => args.config.reorder = Some(bench_reorder()),
             "--no-reorder" => args.config.reorder = None,
             "--sift-threshold" => {
-                let threshold = argv.number(&flag) as usize;
-                let reorder = args.config.reorder.get_or_insert_with(bench_reorder);
-                reorder.sift_threshold = threshold;
+                let sift_threshold = argv.number(&flag) as usize;
+                args.config.reorder = Some(ReorderConfig { sift_threshold });
             }
             "--write-baseline" => args.write_baseline = true,
             other => argv.fail(format_args!("unknown argument {other}")),

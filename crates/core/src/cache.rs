@@ -3,11 +3,12 @@
 //! The full quotient of Table II is the *unique* maximal-flexibility ISF for
 //! a given `(f, g, op)` triple (Corollaries 1–4), which makes it a perfect
 //! caching target: a cache hit is guaranteed to be bit-identical to a cold
-//! computation, so plugging a cache into the recursive synthesizer or the
-//! batch engine never changes any reported number — it only skips work.
+//! computation, so plugging a cache into the recursive synthesizer
+//! ([`crate::RecursiveSynthesizer::with_quotient_cache`]) never changes any
+//! reported number — it only skips work.
 //!
-//! The trait lives here, in `core`, so the engine and the recursive
-//! synthesizer can consume a cache without depending on any particular
+//! The trait lives here, in `core`, so the recursive synthesizer can
+//! consume a cache without depending on any particular
 //! implementation; the production implementation — a lock-striped sharded
 //! map keyed by NPN-canonical forms — is `service::NpnCache` in the
 //! `bidecomp-service` crate, which sits *above* this one in the dependency
@@ -41,9 +42,8 @@ pub trait QuotientCache: Send + Sync + fmt::Debug {
     fn store(&self, f: &Isf, g: &TruthTable, op: BinaryOp, h: &Isf);
 }
 
-/// The shared-ownership handle configuration structs carry: one cache can be
-/// hit from every worker of a pool, every level of a recursion, and every
-/// job of a server queue at once.
+/// The shared-ownership handle a synthesizer carries: one cache can be hit
+/// from every level of a recursion and every job of a server queue at once.
 pub type SharedQuotientCache = Arc<dyn QuotientCache>;
 
 /// [`full_quotient`] with an optional cache in front: on a hit the divisor

@@ -10,7 +10,6 @@ use crate::approximation::{classify_approximation, ApproximationStats};
 use crate::engine::seeded_divisor;
 use crate::error::BidecompError;
 use crate::operator::BinaryOp;
-use crate::oracle::{Oracle, OracleFailure};
 use crate::quotient::full_quotient;
 use crate::verify::verify_decomposition;
 
@@ -98,22 +97,6 @@ impl BiDecomposition {
     /// Error rate in percent (the "%Errors" column).
     pub fn error_percent(&self) -> f64 {
         self.approximation.error_rate * 100.0
-    }
-
-    /// Replays this finished decomposition through the independent SAT
-    /// [`Oracle`]: the Table II side condition, Lemmas 1–5, and
-    /// Corollaries 1–4, against the original dividend `f`.
-    ///
-    /// The flow already verified the word-parallel lemmas before returning
-    /// this struct, so a rejection here means the dense verifiers and the
-    /// oracle disagree — a cross-backend bug worth a minimized report.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`OracleFailure`], naming the failing lemma and a
-    /// witness minterm.
-    pub fn oracle_audit(&self, f: &Isf) -> Result<(), OracleFailure> {
-        Oracle::check(f, &self.g_table, &self.h, self.op)
     }
 }
 
@@ -371,7 +354,8 @@ mod tests {
             let plan = DecompositionPlan::new(op, ApproxStrategy::Bounded { max_error_rate: 0.2 });
             let result = plan.decompose(&f).unwrap_or_else(|e| panic!("{op}: {e}"));
             assert!(result.verified, "{op}: decomposition failed verification");
-            result.oracle_audit(&f).unwrap_or_else(|e| panic!("{op}: oracle rejected: {e}"));
+            crate::Oracle::check(&f, &result.g_table, &result.h, op)
+                .unwrap_or_else(|e| panic!("{op}: oracle rejected: {e}"));
         }
     }
 

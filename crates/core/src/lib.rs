@@ -36,8 +36,9 @@
 //!   sweep kind ([`sweep_synthesis`]) fans the recursive synthesizer over a
 //!   suite on the same pool;
 //! * [`cache`] — the [`QuotientCache`] trait: pluggable memoization of
-//!   full-quotient results (sound because the full quotient is unique), with
-//!   hooks in both the engine and the recursive synthesizer; the production
+//!   full-quotient results (sound because the full quotient is unique),
+//!   plugged into the recursive synthesizer through
+//!   [`RecursiveSynthesizer::with_quotient_cache`]; the production
 //!   NPN-canonical implementation is `service::NpnCache`;
 //! * [`recursive`] — the recursive synthesis engine: cost-driven multi-level
 //!   bi-decomposition with a configurable `(operator, strategy)` portfolio,
@@ -86,7 +87,7 @@ pub use decompose::{
 };
 pub use engine::{
     run_pool, seeded_divisor, seeded_divisor_bdd, sweep, sweep_synthesis, try_run_pool, Backend,
-    EngineConfig, JobPanic, JobResult, OperatorStats, OracleConfig, SweepReport, SynthesisConfig,
+    EngineConfig, JobPanic, JobResult, OperatorStats, SweepReport, SynthesisConfig,
     SynthesisJobResult, SynthesisReport,
 };
 pub use error::BidecompError;

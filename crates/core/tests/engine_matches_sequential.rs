@@ -1,14 +1,15 @@
 //! Property-style checks (deterministic 256-case loops, matching the PR-1
 //! convention) that the batch engine's allocation-free hot path is
 //! bit-identical to the sequential [`bidecomp::full_quotient`] path for every
-//! operator, and that the scratch buffers can be reused across operators and
-//! arities without bleeding state between jobs.
+//! operator, that the scratch buffers can be reused across operators and
+//! arities without bleeding state between jobs, and that the SAT oracle
+//! accepts every job of a smoke sweep.
 
 use benchmarks::{DetRng, Suite};
 use bidecomp::engine::{seeded_divisor, sweep, EngineConfig};
 use bidecomp::{
     full_quotient, quotient_sets, verify_decomposition, verify_maximal_flexibility, BinaryOp,
-    QuotientScratch, QuotientSets,
+    Oracle, QuotientScratch, QuotientSets,
 };
 use boolfunc::{Isf, TruthTable};
 
@@ -83,6 +84,9 @@ fn engine_report_matches_a_hand_rolled_sequential_sweep() {
                 );
                 assert!(r.verified && verify_decomposition(f, &g, &h, op), "job {job}");
                 assert!(r.maximal && verify_maximal_flexibility(f, &g, &h, op), "job {job}");
+                // The third judge: the SAT oracle accepts every job the
+                // engine reported as verified and maximal.
+                assert!(Oracle::check(f, &g, &h, op).is_ok(), "job {job}: oracle rejected");
                 job += 1;
             }
         }

@@ -44,8 +44,6 @@ pub mod json;
 pub mod npn;
 pub mod server;
 
-use std::sync::Arc;
-
 use bidecomp::{BinaryOp, QuotientCache};
 use boolfunc::{Isf, TruthTable};
 use techmap::Network;
@@ -172,12 +170,6 @@ impl NpnCache {
     /// `registry` under `cache.*` (see [`ShardedCache::with_registry`]).
     pub fn with_registry(capacity: usize, shards: usize, registry: &obs::Registry) -> Self {
         NpnCache { store: ShardedCache::with_registry(capacity, shards, registry) }
-    }
-
-    /// A shared handle, ready to plug into `EngineConfig::quotient_cache`
-    /// and friends.
-    pub fn shared(capacity: usize, shards: usize) -> Arc<Self> {
-        Arc::new(Self::new(capacity, shards))
     }
 
     /// Counter snapshot of the underlying store.
