@@ -100,8 +100,9 @@ impl BiDecomposition {
     }
 }
 
-/// A reusable description of how to run a bi-decomposition: operator,
-/// approximation strategy, synthesis and area options.
+/// A reusable description of how to run a bi-decomposition: operator and
+/// approximation strategy, synthesized in 2-SPP and mapped onto the embedded
+/// mcnc-like library.
 ///
 /// ```rust
 /// use bidecomp::{ApproxStrategy, BinaryOp, DecompositionPlan};
@@ -133,18 +134,6 @@ impl DecompositionPlan {
             synthesizer: SppSynthesizer::new(),
             area_model: AreaModel::mcnc(),
         }
-    }
-
-    /// Replaces the 2-SPP synthesizer.
-    pub fn with_synthesizer(mut self, synthesizer: SppSynthesizer) -> Self {
-        self.synthesizer = synthesizer;
-        self
-    }
-
-    /// Replaces the area model.
-    pub fn with_area_model(mut self, area_model: AreaModel) -> Self {
-        self.area_model = area_model;
-        self
     }
 
     /// The operator of this plan.

@@ -28,9 +28,7 @@
 //! the backend, plus two optional extras: the BDD backend's reordering
 //! policy ([`ReorderConfig`]) and a metrics registry. Neither changes a
 //! minterm count or a verdict. The SAT [`crate::Oracle`] is not an engine
-//! option — tests call [`crate::Oracle::check`] on the jobs directly — and
-//! neither is quotient caching, which the server plugs into the recursive
-//! synthesizer through [`RecursiveSynthesizer::with_quotient_cache`].
+//! option — tests call [`crate::Oracle::check`] on the jobs directly.
 //!
 //! Besides the quotient sweep, the module hosts a second sweep kind:
 //! [`sweep_synthesis`] fans the recursive bi-decomposition synthesizer

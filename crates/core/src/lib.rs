@@ -35,11 +35,6 @@
 //!   ([`QuotientScratch`]) and deterministic, seed-stable reports; a second
 //!   sweep kind ([`sweep_synthesis`]) fans the recursive synthesizer over a
 //!   suite on the same pool;
-//! * [`cache`] — the [`QuotientCache`] trait: pluggable memoization of
-//!   full-quotient results (sound because the full quotient is unique),
-//!   plugged into the recursive synthesizer through
-//!   [`RecursiveSynthesizer::with_quotient_cache`]; the production
-//!   NPN-canonical implementation is `service::NpnCache`;
 //! * [`recursive`] — the recursive synthesis engine: cost-driven multi-level
 //!   bi-decomposition with a configurable `(operator, strategy)` portfolio,
 //!   a [`techmap::Network`] emitter and a [`DecompositionTree`] report, every
@@ -65,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod approximation;
-pub mod cache;
 pub mod decompose;
 pub mod engine;
 mod error;
@@ -81,7 +75,6 @@ pub mod verify;
 pub use approximation::{
     classify_approximation, is_valid_divisor, is_valid_divisor_bdd, ApproxKind, ApproximationStats,
 };
-pub use cache::{cached_full_quotient, QuotientCache, SharedQuotientCache};
 pub use decompose::{
     derive_strategy_divisor, ApproxStrategy, BiDecomposition, DecompositionPlan, Quotient,
 };

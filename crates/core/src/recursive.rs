@@ -37,10 +37,10 @@ use boolfunc::{Isf, TruthTable};
 use spp::{SppForm, SppSynthesizer};
 use techmap::{AreaModel, Network, NodeId};
 
-use crate::cache::{cached_full_quotient, SharedQuotientCache};
 use crate::decompose::{combine_op, derive_strategy_divisor, ApproxStrategy};
 use crate::error::BidecompError;
 use crate::operator::BinaryOp;
+use crate::quotient::full_quotient;
 use crate::verify::verify_decomposition;
 
 /// Configuration of the recursive synthesizer: which candidates to try at
@@ -244,7 +244,6 @@ pub struct RecursiveSynthesizer {
     config: RecursiveConfig,
     synthesizer: SppSynthesizer,
     area_model: AreaModel,
-    cache: Option<SharedQuotientCache>,
 }
 
 impl Default for RecursiveSynthesizer {
@@ -261,36 +260,7 @@ impl RecursiveSynthesizer {
             config,
             synthesizer: SppSynthesizer::new(),
             area_model: AreaModel::mcnc(),
-            cache: None,
         }
-    }
-
-    /// Plugs a shared [`crate::cache::QuotientCache`] into every
-    /// `full_quotient` call of the recursion, so identical (up to the
-    /// cache's normalization) quotient subproblems are answered from the
-    /// cache across levels — and, because the cache is shared, across
-    /// concurrent synthesis jobs. The full quotient is unique, so caching
-    /// never changes a result bit; it only skips recomputation.
-    pub fn with_quotient_cache(mut self, cache: SharedQuotientCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Replaces the 2-SPP synthesizer.
-    pub fn with_synthesizer(mut self, synthesizer: SppSynthesizer) -> Self {
-        self.synthesizer = synthesizer;
-        self
-    }
-
-    /// Replaces the area model.
-    pub fn with_area_model(mut self, area_model: AreaModel) -> Self {
-        self.area_model = area_model;
-        self
-    }
-
-    /// The configuration of this synthesizer.
-    pub fn config(&self) -> &RecursiveConfig {
-        &self.config
     }
 
     /// Recursively synthesizes `f` with seed 0 (see
@@ -384,7 +354,7 @@ impl RecursiveSynthesizer {
             let Ok(g) = derive_strategy_divisor(f, f_form, op, strategy, &self.synthesizer) else {
                 continue; // External is rejected before recursion starts.
             };
-            let Ok(h) = cached_full_quotient(self.cache.as_deref(), f, &g, op) else {
+            let Ok(h) = full_quotient(f, &g, op) else {
                 continue; // The strategy produced an invalid divisor for op.
             };
             debug_assert!(verify_decomposition(f, &g, &h, op), "{op}: full quotient must verify");
@@ -551,7 +521,7 @@ mod tests {
             for &(op, strategy) in &RecursiveConfig::default().portfolio {
                 let g = derive_strategy_divisor(&f, &f_form, op, strategy, &synthesizer)
                     .unwrap_or_else(|e| panic!("{op}: {e}"));
-                let h = crate::full_quotient(&f, &g, op).unwrap_or_else(|e| panic!("{op}: {e}"));
+                let h = full_quotient(&f, &g, op).unwrap_or_else(|e| panic!("{op}: {e}"));
                 crate::Oracle::check(&f, &g, &h, op)
                     .unwrap_or_else(|e| panic!("{op}: oracle rejected a verified candidate: {e}"));
                 checked += 1;
@@ -604,28 +574,6 @@ mod tests {
         assert_eq!(a.mapped_area.to_bits(), b.mapped_area.to_bits());
         assert_eq!(a.tree.depth(), b.tree.depth());
         assert!(a.verified && b.verified);
-    }
-
-    #[test]
-    fn quotient_cache_never_changes_the_result() {
-        use crate::cache::testutil::MapCache;
-        use std::sync::atomic::Ordering;
-        use std::sync::Arc;
-
-        let f = fig2();
-        let plain = RecursiveSynthesizer::default().synthesize(&f).unwrap();
-        let cache = Arc::new(MapCache::default());
-        let synth = RecursiveSynthesizer::default().with_quotient_cache(cache.clone());
-        let cold = synth.synthesize(&f).unwrap(); // populates the cache
-        let warm = synth.synthesize(&f).unwrap(); // replays it from the cache
-        for result in [&cold, &warm] {
-            assert!(result.verified);
-            assert_eq!(plain.mapped_area.to_bits(), result.mapped_area.to_bits());
-            assert_eq!(plain.flat_area.to_bits(), result.flat_area.to_bits());
-            assert_eq!(plain.gate_count(), result.gate_count());
-            assert_eq!(plain.tree.depth(), result.tree.depth());
-        }
-        assert!(cache.hits.load(Ordering::Relaxed) > 0, "the warm run must hit");
     }
 
     #[test]

@@ -14,15 +14,13 @@
 //!   signature-based above);
 //! * [`cache`] — a lock-striped, sharded, bounded store with CLOCK eviction
 //!   and hit/miss/eviction statistics;
-//! * [`NpnCache`] — the two glued together: an NPN-keyed memo of completed
-//!   quotient and synthesis results. It implements
-//!   [`bidecomp::QuotientCache`], so it plugs directly into
-//!   `bidecomp::engine::sweep`, `sweep_synthesis` and the recursive
-//!   synthesizer;
+//! * [`NpnCache`] — the two glued together: an NPN-keyed memo of the
+//!   server's completed `decompose` quotients and `synthesize` networks;
 //! * [`server`] — a persistent localhost TCP service speaking line-delimited
-//!   JSON ([`json`]), fronting a request queue drained in batches through
-//!   `bidecomp::engine::run_pool`, with `decompose` / `synthesize` /
-//!   `stats` / `shutdown` verbs;
+//!   JSON ([`json`]), fronting a request queue that per-worker claim loops
+//!   drain one request at a time through `bidecomp::engine::try_run_pool`,
+//!   with `decompose` / `synthesize` / `stats` / `metrics` / `shutdown`
+//!   verbs;
 //! * [`json`] — the dependency-free JSON module (moved here from
 //!   `bidecomp-bench`, which re-exports it) framing both the wire protocol
 //!   and the bench artifacts.
@@ -44,7 +42,7 @@ pub mod json;
 pub mod npn;
 pub mod server;
 
-use bidecomp::{BinaryOp, QuotientCache};
+use bidecomp::BinaryOp;
 use boolfunc::{Isf, TruthTable};
 use techmap::Network;
 
@@ -109,12 +107,13 @@ pub struct CachedSynthesis {
 
 /// The NPN-canonical result cache: [`ShardedCache`] keyed by [`CacheKey`].
 ///
-/// Implements [`bidecomp::QuotientCache`], so one instance can
-/// simultaneously serve the TCP server's verbs, the batch engine's sweep
-/// and every level of the recursive synthesizer.
+/// One instance serves every worker and connection of the TCP server:
+/// `decompose` answers go through [`NpnCache::lookup_quotient`] /
+/// [`NpnCache::store_quotient`], `synthesize` answers through
+/// [`NpnCache::lookup_synthesis`] / [`NpnCache::store_synthesis`].
 ///
 /// ```rust
-/// use bidecomp::{full_quotient, BinaryOp, QuotientCache};
+/// use bidecomp::{full_quotient, BinaryOp};
 /// use boolfunc::Isf;
 /// use service::NpnCache;
 ///
@@ -123,8 +122,8 @@ pub struct CachedSynthesis {
 /// let f = Isf::from_cover_str(4, &["11-1", "-111"], &[])?;
 /// let g = boolfunc::Cover::from_strs(4, &["-1-1"])?.to_truth_table();
 /// let h = full_quotient(&f, &g, BinaryOp::And)?;
-/// cache.store(&f, &g, BinaryOp::And, &h);
-/// assert_eq!(cache.lookup(&f, &g, BinaryOp::And), Some(h));
+/// cache.store_quotient(&f, &g, BinaryOp::And, &h);
+/// assert_eq!(cache.lookup_quotient(&f, &g, BinaryOp::And), Some(h));
 /// assert_eq!(cache.stats().hits, 1);
 /// # Ok(())
 /// # }
@@ -135,11 +134,11 @@ pub struct NpnCache {
 }
 
 thread_local! {
-    /// Single-entry canonicalization memo. Every miss path canonicalizes the
-    /// same function twice in a row (`lookup`, then `store`), and the server
-    /// canonicalizes once more when storing a synthesis — remembering the
-    /// last result per thread removes the duplicate NPN searches without any
-    /// cross-thread traffic.
+    /// Single-entry canonicalization memo. A cache miss canonicalizes the
+    /// same function twice in a row (the `lookup_*`, then the `store_*`), and
+    /// a shed-path `has_*` probe is followed by the lookup of the same
+    /// function — remembering the last result per thread removes the
+    /// duplicate NPN searches without any cross-thread traffic.
     static LAST_CANONICAL: std::cell::RefCell<Option<(Isf, Canonical)>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -191,7 +190,7 @@ impl NpnCache {
         }
     }
 
-    /// Probes whether [`QuotientCache::lookup`] would hit, without touching
+    /// Probes whether [`NpnCache::lookup_quotient`] would hit, without touching
     /// the hit/miss counters or the CLOCK recency bits. The server's
     /// admission controller uses this to keep answering cached work while
     /// shedding: a probe must not make the entry look hotter (or the stats
@@ -211,6 +210,30 @@ impl NpnCache {
     pub fn has_synthesis(&self, f: &Isf, config: u64) -> bool {
         let canon = canonical_of(f);
         self.store.contains(&CacheKey::Synthesis { f: canon.key, config })
+    }
+
+    /// The full quotient of `(f, g, op)` if the NPN class of the problem is
+    /// cached, transformed back to the queried function (bit-identical to a
+    /// cold [`bidecomp::full_quotient`], since the full quotient is unique).
+    /// A hit also implies `g` is a valid divisor for `op`.
+    pub fn lookup_quotient(&self, f: &Isf, g: &TruthTable, op: BinaryOp) -> Option<Isf> {
+        let canon = canonical_of(f);
+        let key = Self::quotient_key(&canon, g, op);
+        match self.store.get(&key) {
+            Some(CacheValue::Quotient(h_image)) => {
+                Some(canon.transform.inverse().permute_isf(&h_image))
+            }
+            Some(CacheValue::Synthesis(_)) => unreachable!("quotient keys only store quotients"),
+            None => None,
+        }
+    }
+
+    /// Stores the full quotient `h` of `(f, g, op)` for the NPN class of the
+    /// problem (carried into the canonical space before storage).
+    pub fn store_quotient(&self, f: &Isf, g: &TruthTable, op: BinaryOp, h: &Isf) {
+        let canon = canonical_of(f);
+        let key = Self::quotient_key(&canon, g, op);
+        self.store.insert(key, CacheValue::Quotient(canon.transform.permute_isf(h)));
     }
 
     /// Looks up the synthesis outcome of the NPN class of `f` under the
@@ -258,26 +281,6 @@ impl NpnCache {
     }
 }
 
-impl QuotientCache for NpnCache {
-    fn lookup(&self, f: &Isf, g: &TruthTable, op: BinaryOp) -> Option<Isf> {
-        let canon = canonical_of(f);
-        let key = Self::quotient_key(&canon, g, op);
-        match self.store.get(&key) {
-            Some(CacheValue::Quotient(h_image)) => {
-                Some(canon.transform.inverse().permute_isf(&h_image))
-            }
-            Some(CacheValue::Synthesis(_)) => unreachable!("quotient keys only store quotients"),
-            None => None,
-        }
-    }
-
-    fn store(&self, f: &Isf, g: &TruthTable, op: BinaryOp, h: &Isf) {
-        let canon = canonical_of(f);
-        let key = Self::quotient_key(&canon, g, op);
-        self.store.insert(key, CacheValue::Quotient(canon.transform.permute_isf(h)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,7 +310,7 @@ mod tests {
                 for (i, op) in BinaryOp::all().into_iter().enumerate() {
                     let g = seeded_divisor(&f, op, base ^ i as u64);
                     let h = full_quotient(&f, &g, op).unwrap();
-                    cache.store(&f, &g, op, &h);
+                    cache.store_quotient(&f, &g, op, &h);
 
                     // A random NPN variant of the *pair* (f, g): inputs are
                     // transformed diagonally, the output complement of f
@@ -326,7 +329,7 @@ mod tests {
                     let op2 = t.map_op(op);
 
                     let cold = full_quotient(&f2, &g2, op2).unwrap();
-                    if let Some(cached) = cache.lookup(&f2, &g2, op2) {
+                    if let Some(cached) = cache.lookup_quotient(&f2, &g2, op2) {
                         hits += 1;
                         assert_eq!(cached, cold, "n={n} seed={seed} {op}: hit must be cold-exact");
                         assert!(verify_decomposition(&f2, &g2, &cached, op2));
@@ -347,18 +350,18 @@ mod tests {
         let f = Isf::from_cover_str(4, &["11-1", "-111"], &[]).unwrap();
         let g = boolfunc::Cover::from_strs(4, &["-1-1"]).unwrap().to_truth_table();
         let h = full_quotient(&f, &g, BinaryOp::And).unwrap();
-        cache.store(&f, &g, BinaryOp::And, &h);
+        cache.store_quotient(&f, &g, BinaryOp::And, &h);
         // The admission probe sees the entry without recording a hit.
         assert!(cache.has_quotient(&f, &g, BinaryOp::And));
         assert!(!cache.has_quotient(&f, &g, BinaryOp::Or));
         assert_eq!(cache.stats().hits, 0, "probes must not count as hits");
         assert_eq!(cache.stats().misses, 0, "probes must not count as misses");
         // Same f and g, different op: distinct problem, must miss.
-        assert_eq!(cache.lookup(&f, &g, BinaryOp::ConverseNonImplication), None);
+        assert_eq!(cache.lookup_quotient(&f, &g, BinaryOp::ConverseNonImplication), None);
         // Same f and op, different g: must miss.
         let g2 = TruthTable::one(4);
-        assert_eq!(cache.lookup(&f, &g2, BinaryOp::And), None);
-        assert_eq!(cache.lookup(&f, &g, BinaryOp::And), Some(h));
+        assert_eq!(cache.lookup_quotient(&f, &g2, BinaryOp::And), None);
+        assert_eq!(cache.lookup_quotient(&f, &g, BinaryOp::And), Some(h));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Two functions are *NPN-equivalent* if one can be obtained from the other
 //! by permuting inputs (P), complementing inputs (N) and complementing the
-//! output (the leading N). The full quotient, divisor validity and the
-//! recursive synthesizer's subproblems are all equivariant under these
+//! output (the leading N). The full quotient, divisor validity and (up to
+//! inverter rewiring) a synthesized network are all equivariant under these
 //! transforms, so a result computed for one member of an NPN class answers
 //! every member — which is what makes an NPN-keyed cache so much more
 //! effective than an exact-key one: a synthesis workload keeps meeting the

@@ -1,5 +1,6 @@
 //! The persistent decomposition server: localhost TCP, line-delimited JSON,
-//! a request queue drained in batches through `bidecomp::engine::run_pool`.
+//! a request queue drained one request at a time by worker claim loops
+//! running on `bidecomp::engine::try_run_pool`.
 //!
 //! ## Protocol
 //!
@@ -24,7 +25,7 @@
 //!   `gates`/`mapped_area` can differ slightly from a cold run and
 //!   `flat_area` is the canonical representative's; every rewired network
 //!   is re-verified exhaustively before it is reported.
-//! * `stats` — server uptime, queue/batch counters, per-verb totals, the
+//! * `stats` — server uptime, queue counters, per-verb totals, the
 //!   cache counters and the robustness counters (`sheds`, `timeouts`,
 //!   `panics`, `rejected_connections`, `slow_clients`, `line_overflows`).
 //! * `metrics` — the full observability snapshot
@@ -47,7 +48,9 @@
 //!   answered `{"ok":false,"error":"deadline_exceeded"}`; the deadline is
 //!   checked at dequeue and again before the expensive verification step.
 //!
-//! Fields the protocol does not name are ignored.
+//! Fields the protocol does not name are ignored. A named field of the
+//! wrong JSON type (`"g":5`, `"no_cache":"yes"`) is a protocol error, never
+//! a silent default.
 //!
 //! ## Error taxonomy
 //!
@@ -87,9 +90,10 @@
 //! barrier. Workers send replies in completion order and the writer
 //! reorders by per-connection sequence number, so the wire still answers
 //! strictly in request order. The NPN cache ([`crate::NpnCache`]) is shared
-//! by every worker and doubles as the quotient cache *inside* the recursive
-//! synthesizer, so subproblems hit across levels, requests and
-//! connections.
+//! by every worker and holds whole answers only — `decompose` quotients and
+//! `synthesize` networks — so hits land across requests and connections;
+//! the recursion inside a `synthesize` miss computes every full quotient
+//! directly.
 //!
 //! Per-request compute runs under `catch_unwind`; a panicking request is
 //! answered `"internal"` and its worker's scratch state is rebuilt. For
@@ -109,7 +113,7 @@ use bidecomp::approximation::is_valid_divisor;
 use bidecomp::engine::{seeded_divisor, try_run_pool};
 use bidecomp::{
     full_quotient, verify_decomposition, verify_maximal_flexibility, verify_network, BinaryOp,
-    QuotientCache, RecursiveConfig, RecursiveSynthesizer,
+    RecursiveConfig, RecursiveSynthesizer,
 };
 use boolfunc::{Isf, TruthTable};
 use techmap::AreaModel;
@@ -135,8 +139,8 @@ pub const INJECTED_PANIC_MESSAGE: &str = "injected worker fault";
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads per batch; `0` uses the machine's available
-    /// parallelism.
+    /// Worker threads claiming requests from the queue; `0` uses the
+    /// machine's available parallelism.
     pub workers: usize,
     /// Total capacity of the NPN result cache in entries; `0` disables
     /// caching entirely (every request reports `cache: bypass`).
@@ -936,26 +940,18 @@ fn dispatch_loop(state: &Arc<ServiceState>) {
     state.counters.panics.add(died as u64);
 }
 
-/// Per-worker scratch: two synthesizers — the normal one with the shared
-/// NPN cache plugged into its quotient path, and a fully uncached twin for
-/// `no_cache` requests (the bypass contract is "touches the cache in no
-/// way", including the quotient subproblems inside the recursion) — plus
-/// the area model.
+/// Per-worker scratch: the recursive synthesizer and the area model that
+/// re-maps rewired cache hits.
 struct Worker {
-    cached: RecursiveSynthesizer,
-    uncached: RecursiveSynthesizer,
+    synthesizer: RecursiveSynthesizer,
     area: AreaModel,
 }
 
 fn make_worker(state: &ServiceState) -> Worker {
-    let uncached = RecursiveSynthesizer::new(state.config.recursive.clone());
-    let cached = match &state.cache {
-        Some(cache) => {
-            uncached.clone().with_quotient_cache(Arc::clone(cache) as Arc<dyn QuotientCache>)
-        }
-        None => uncached.clone(),
-    };
-    Worker { cached, uncached, area: AreaModel::mcnc() }
+    Worker {
+        synthesizer: RecursiveSynthesizer::new(state.config.recursive.clone()),
+        area: AreaModel::mcnc(),
+    }
 }
 
 /// One worker's life: pop a request, handle it (under `catch_unwind`),
@@ -1010,7 +1006,7 @@ fn drain_queue(state: &Arc<ServiceState>, worker: &mut Worker) {
             Ok(line) => line,
             Err(_) => {
                 state.counters.panics.inc();
-                // The panic may have left the synthesizers' scratch state
+                // The panic may have left the worker's scratch state
                 // inconsistent; rebuild from scratch before the next claim.
                 *worker = make_worker(state);
                 attach_id(error_value(ERR_INTERNAL), &item.request.id).to_string()
@@ -1130,11 +1126,11 @@ fn handle_decompose(
     }
     let start = Instant::now();
     let (h, cache_status) = match (&state.cache, no_cache) {
-        (Some(cache), false) => match cache.lookup(f, &g, op) {
+        (Some(cache), false) => match cache.lookup_quotient(f, &g, op) {
             Some(h) => (h, "hit"),
             None => {
                 let h = full_quotient(f, &g, op).map_err(|e| e.to_string())?;
-                cache.store(f, &g, op, &h);
+                cache.store_quotient(f, &g, op, &h);
                 (h, "miss")
             }
         },
@@ -1235,44 +1231,34 @@ fn handle_synthesize(
     no_cache: bool,
     deadline: Option<Instant>,
 ) -> Result<Value, RequestError> {
-    if let (Some(cache), false) = (&state.cache, no_cache) {
+    // `no_cache` skips both the lookup and the store, so the request
+    // touches the cache in no way.
+    let cache = state.cache.as_ref().filter(|_| !no_cache);
+    if cache.is_some() {
         if let Some(result) = synthesize_hit(state, &worker.area, f, deadline) {
             return result;
         }
-        if deadline_expired(deadline) {
-            return Err(RequestError::Deadline);
-        }
-        let start = Instant::now();
-        let result = worker.cached.synthesize(f).map_err(|e| e.to_string())?;
-        state.counters.engine_synthesis_nanos.add(start.elapsed().as_nanos() as u64);
-        cache.store_synthesis(
-            f,
-            state.config_fp,
-            &result.network,
-            result.flat_area,
-            result.tree.depth(),
-            result.tree.num_branches(),
-        );
-        return Ok(synthesize_response(
-            f,
-            result.gate_count(),
-            result.tree.depth(),
-            result.tree.num_branches(),
-            result.mapped_area,
-            result.flat_area,
-            result.verified,
-            "miss",
-        ));
     }
-
     if deadline_expired(deadline) {
         return Err(RequestError::Deadline);
     }
-    // Bypass: the fully uncached synthesizer, so not even the quotient
-    // subproblems of the recursion read or populate the shared cache.
     let start = Instant::now();
-    let result = worker.uncached.synthesize(f).map_err(|e| e.to_string())?;
+    let result = worker.synthesizer.synthesize(f).map_err(|e| e.to_string())?;
     state.counters.engine_synthesis_nanos.add(start.elapsed().as_nanos() as u64);
+    let cache_status = match cache {
+        Some(cache) => {
+            cache.store_synthesis(
+                f,
+                state.config_fp,
+                &result.network,
+                result.flat_area,
+                result.tree.depth(),
+                result.tree.num_branches(),
+            );
+            "miss"
+        }
+        None => "bypass",
+    };
     Ok(synthesize_response(
         f,
         result.gate_count(),
@@ -1281,7 +1267,7 @@ fn handle_synthesize(
         result.mapped_area,
         result.flat_area,
         result.verified,
-        "bypass",
+        cache_status,
     ))
 }
 
@@ -1491,30 +1477,44 @@ fn parse_request(line: &str, config: &ServiceConfig) -> Result<Request, String> 
                 .ok_or_else(|| "decompose needs an 'op' field".to_string())?;
             let op = BinaryOp::from_symbol(op_name)
                 .ok_or_else(|| format!("unknown operator '{op_name}'"))?;
-            let g = match doc.get("g").and_then(Value::as_str) {
-                Some(hex) => Some(table_from_hex(hex, f.num_vars())?),
-                None => None,
-            };
             Payload::Decompose {
+                g: table_field(&doc, "g", f.num_vars())?,
                 f,
-                g,
                 seed: parse_seed(&doc)?,
                 op,
-                no_cache: bool_field(&doc, "no_cache"),
-                tables: bool_field(&doc, "tables"),
+                no_cache: bool_field(&doc, "no_cache")?,
+                tables: bool_field(&doc, "tables")?,
             }
         }
         "synthesize" => {
             let f = parse_isf(&doc, config)?;
-            Payload::Synthesize { f, no_cache: bool_field(&doc, "no_cache") }
+            Payload::Synthesize { f, no_cache: bool_field(&doc, "no_cache")? }
         }
         other => return Err(format!("unknown verb '{other}'")),
     };
     Ok(Request { payload, id, deadline_ms })
 }
 
-fn bool_field(doc: &Value, key: &str) -> bool {
-    doc.get(key).and_then(Value::as_bool).unwrap_or(false)
+/// An optional boolean field: absent → `false`; present but not a JSON
+/// boolean → a protocol error, never a silent `false`.
+fn bool_field(doc: &Value, key: &str) -> Result<bool, String> {
+    match doc.get(key) {
+        None => Ok(false),
+        Some(v) => v.as_bool().ok_or_else(|| format!("{key} must be a boolean, got {v}")),
+    }
+}
+
+/// An optional hex truth-table field: absent → `None`; present but not a
+/// hex string of the declared arity → a protocol error, never a silent
+/// default (a server-derived divisor or the zero table).
+fn table_field(doc: &Value, key: &str, num_vars: usize) -> Result<Option<TruthTable>, String> {
+    match doc.get(key) {
+        None => Ok(None),
+        Some(v) => {
+            let hex = v.as_str().ok_or_else(|| format!("{key} must be a hex string, got {v}"))?;
+            table_from_hex(hex, num_vars).map(Some)
+        }
+    }
 }
 
 /// The divisor seed: absent → 0; a JSON number (exact only up to 2^53 —
@@ -1552,15 +1552,9 @@ fn parse_isf(doc: &Value, config: &ServiceConfig) -> Result<Isf, String> {
             config.max_vars
         ));
     }
-    let on_hex = doc
-        .get("f_on")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "missing 'f_on' field".to_string())?;
-    let on = table_from_hex(on_hex, num_vars)?;
-    let dc = match doc.get("f_dc").and_then(Value::as_str) {
-        Some(hex) => table_from_hex(hex, num_vars)?,
-        None => TruthTable::zero(num_vars),
-    };
+    let on =
+        table_field(doc, "f_on", num_vars)?.ok_or_else(|| "missing 'f_on' field".to_string())?;
+    let dc = table_field(doc, "f_dc", num_vars)?.unwrap_or_else(|| TruthTable::zero(num_vars));
     Isf::new(on, dc).map_err(|e| format!("inconsistent ISF: {e}"))
 }
 
@@ -1626,6 +1620,16 @@ mod tests {
             r#"{"verb":"decompose","num_vars":3,"f_on":"00000000000000c0"}"#,
             r#"{"verb":"decompose","num_vars":99,"f_on":"00","op":"AND"}"#,
             r#"{"verb":"synthesize","num_vars":3}"#,
+            // Present but wrongly typed optional fields are errors, never
+            // silent defaults (a server-derived divisor, the zero dc-set or
+            // `false`).
+            r#"{"verb":"decompose","num_vars":3,"f_on":"00000000000000c0","op":"AND","g":5}"#,
+            r#"{"verb":"decompose","num_vars":3,"f_on":"00000000000000c0","op":"AND","f_dc":0}"#,
+            r#"{"verb":"decompose","num_vars":3,"f_on":"00000000000000c0","op":"AND","no_cache":1}"#,
+            r#"{"verb":"decompose","num_vars":3,"f_on":"00000000000000c0","op":"AND","tables":"yes"}"#,
+            r#"{"verb":"synthesize","num_vars":3,"f_on":"00000000000000c0","no_cache":"true"}"#,
+            r#"{"verb":"synthesize","num_vars":3,"f_on":"00000000000000c0","f_dc":null}"#,
+            r#"{"verb":"synthesize","num_vars":3,"f_on":7}"#,
         ] {
             assert!(parse_request(bad, &config).is_err(), "{bad} must be rejected");
         }

@@ -158,6 +158,53 @@ fn full_protocol_round_trip() {
     handle.join().expect("server thread");
 }
 
+/// The `stats` cache counters a compute request can move:
+/// `[hits, misses, insertions, entries]`.
+fn cache_counts(client: &mut Client) -> [u64; 4] {
+    let stats = client.roundtrip(r#"{"verb":"stats"}"#);
+    let cache = stats.get("cache").expect("cache stats present");
+    ["hits", "misses", "insertions", "entries"].map(|key| u64_field(cache, key))
+}
+
+#[test]
+fn the_cache_holds_whole_answers_and_no_cache_never_touches_it() {
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut client = Client::connect(addr);
+    // Fig. 2: two pseudoproducts, so the recursion weighs the whole
+    // portfolio (one full quotient per candidate) at the root.
+    let f = Isf::from_cover_str(4, &["1-10", "1-01", "-111", "-100"], &[]).unwrap();
+    let synth = format!(r#"{{"verb":"synthesize","num_vars":4,"f_on":"{}""#, table_to_hex(f.on()));
+
+    // `no_cache` synthesize and decompose leave every counter where it was.
+    let before = cache_counts(&mut client);
+    let response = client.roundtrip(&format!(r#"{synth},"no_cache":true}}"#));
+    assert!(bool_field(&response, "ok"), "error: {response}");
+    assert_eq!(str_field(&response, "cache"), "bypass");
+    let decompose = format!(
+        r#"{{"verb":"decompose","num_vars":4,"f_on":"{}","op":"AND","seed":5,"no_cache":true}}"#,
+        table_to_hex(f.on())
+    );
+    let response = client.roundtrip(&decompose);
+    assert!(bool_field(&response, "ok"), "error: {response}");
+    assert_eq!(str_field(&response, "cache"), "bypass");
+    assert_eq!(cache_counts(&mut client), before, "no_cache must not touch the cache");
+
+    // A cold cached synthesize stores exactly one entry — the network —
+    // and none for the quotients its recursion computed.
+    let cold = client.roundtrip(&format!("{synth}}}"));
+    assert!(bool_field(&cold, "ok"), "error: {cold}");
+    assert_eq!(str_field(&cold, "cache"), "miss");
+    let [hits, misses, insertions, entries] = cache_counts(&mut client);
+    assert_eq!(hits, before[0]);
+    assert_eq!(misses, before[1] + 1);
+    assert_eq!(insertions, before[2] + 1, "only the synthesis result is stored");
+    assert_eq!(entries, before[3] + 1);
+
+    client.roundtrip(r#"{"verb":"shutdown"}"#);
+    drop(client);
+    handle.join().expect("server thread");
+}
+
 #[test]
 fn cache_disabled_server_always_bypasses() {
     let config = ServiceConfig { cache_capacity: 0, ..ServiceConfig::default() };
@@ -189,8 +236,8 @@ fn pipelined_requests_come_back_in_order() {
     let mut reader = BufReader::new(stream);
 
     // Write a burst of decompose requests before reading anything — the
-    // dispatcher batches them through run_pool, and replies must come back
-    // in request order.
+    // workers answer them in completion order, and the connection's writer
+    // must still send the replies in request order.
     let mut expected = Vec::new();
     let mut batch = String::new();
     for seed in 0..24u64 {
